@@ -7,7 +7,7 @@
 //! both, producing the numbers behind the paper's ≈9:1 example.
 
 use crate::arena::Arena;
-use crate::directory::NodeDirectory;
+use crate::directory::{HashTableDirectory, NodeDirectory, SLOT_BYTES};
 use crate::node::{encode_node, Codec};
 use crate::BroadMatchIndex;
 
@@ -60,9 +60,8 @@ impl BroadMatchIndex {
             encode_node(&mut entries2, Codec::Compressed, &mut compressed);
         }
         let entries = self.directory().entries();
-        // A plain hash table sized like the builder's: 2x slots of 16 bytes.
-        let hash_directory_bytes =
-            (entries * 2).next_power_of_two().max(16) * crate::directory::SLOT_BYTES;
+        // A plain hash table sized like the builder's.
+        let hash_directory_bytes = HashTableDirectory::capacity(entries) * SLOT_BYTES;
         CompressionReport {
             node_plain_bytes: plain.len(),
             node_compressed_bytes: compressed.len(),

@@ -1,11 +1,12 @@
-//! The generational delta overlay: Section VI maintenance shaped for the
-//! lock-free serving path.
+//! The generational delta overlay: the one implementation of Section VI
+//! maintenance.
 //!
-//! [`crate::MaintainedIndex`] mutates the index in place under a `RwLock`;
-//! that is the wrong shape for `broadmatch-serve`, where readers take zero
-//! locks against an immutable snapshot. [`DeltaOverlay`] instead leaves the
-//! base [`BroadMatchIndex`] untouched and accumulates recent mutations on
-//! the side:
+//! The paper's scheme is cheap inserts, deletes located by a
+//! broad-match-shaped probe, and periodic re-optimization. [`DeltaOverlay`]
+//! realizes it without mutating the base [`BroadMatchIndex`], so it works
+//! over every directory kind (including the static Section VI compressed
+//! directory) and suits `broadmatch-serve`, where readers take zero locks
+//! against an immutable snapshot. Recent mutations accumulate on the side:
 //!
 //! * **inserts** go into a small string-keyed side index, consulted after
 //!   the base so new ads are visible immediately;
@@ -154,10 +155,8 @@ impl DeltaOverlay {
     }
 
     /// Drop matching ads from the overlay's own inserts only (no base
-    /// resolution). Returns the number dropped. Serving runtimes that route
-    /// the base resolution per shard combine this with
-    /// [`DeltaOverlay::tombstone_ads`].
-    pub fn remove_local(&mut self, phrase: &str, listing_id: u64) -> usize {
+    /// resolution). Returns the number dropped.
+    fn remove_local(&mut self, phrase: &str, listing_id: u64) -> usize {
         let raw = tokenize(phrase);
         if raw.is_empty() {
             return 0;
@@ -179,9 +178,8 @@ impl DeltaOverlay {
     }
 
     /// Add base ad ids to the tombstone set. Returns how many were newly
-    /// tombstoned (duplicates — e.g. the same node reached from two shards
-    /// — are deduplicated here).
-    pub fn tombstone_ads(&mut self, ads: impl IntoIterator<Item = AdId>) -> usize {
+    /// tombstoned (ids already tombstoned are not counted again).
+    fn tombstone_ads(&mut self, ads: impl IntoIterator<Item = AdId>) -> usize {
         let before = self.tombstones.len();
         self.tombstones.extend(ads);
         self.tombstones.len() - before
@@ -293,8 +291,7 @@ impl DeltaOverlay {
     /// the base is only read.
     ///
     /// Ad ids are reassigned by the rebuild; listing ids are the stable
-    /// keys. Base exclusion word sets survive (resolved to text, like
-    /// [`crate::MaintainedIndex::reoptimize`]).
+    /// keys. Base exclusion word sets survive, resolved back to text.
     ///
     /// # Errors
     /// Propagates [`IndexBuilder::build`] failures.
@@ -338,7 +335,7 @@ impl DeltaOverlay {
 /// `listing_id`. Exclusion filtering is deliberately skipped — deletion
 /// must find the ad even when the phrase contains one of its own exclusion
 /// words.
-pub fn resolve_exact(base: &BroadMatchIndex, phrase: &str, listing_id: u64) -> Vec<AdId> {
+fn resolve_exact(base: &BroadMatchIndex, phrase: &str, listing_id: u64) -> Vec<AdId> {
     let Some(plan) = base.plan_query(phrase, MatchType::Exact) else {
         return Vec::new();
     };
@@ -413,6 +410,9 @@ mod tests {
         ov.insert("red shoes", AdInfo::with_bid(10, 1)).unwrap();
         ov.insert("shoes red", AdInfo::with_bid(11, 1)).unwrap();
         ov.insert("ping ping", AdInfo::with_bid(12, 1)).unwrap();
+        // Same phrase validation as the builder.
+        assert!(ov.insert("***", AdInfo::default()).is_err());
+        assert_eq!(ov.ads(), 3);
 
         let q = |text: &str, mt| {
             let (hits, _) = base.query_with_overlay(&ov, text, mt);

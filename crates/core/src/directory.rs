@@ -21,15 +21,16 @@ pub(crate) const DIR_BASE: u64 = 1 << 40;
 pub(crate) type NodeExtent = (u32, u32);
 
 /// Open-addressing (linear probing) hash table from 64-bit `wordhash`
-/// values to node extents. Supports in-place updates, inserts and removals
-/// (tombstoned) for index maintenance (Section VI).
+/// values to node extents, built once from the builder's (or loader's)
+/// node list and immutable afterwards. Section VI maintenance never
+/// mutates it: updates go to a [`crate::DeltaOverlay`] and `fold` builds a
+/// fresh index.
 #[derive(Debug, Clone)]
 pub(crate) struct HashTableDirectory {
-    /// Slot = (hash, start, len); `start` sentinels mark empty/tombstone.
+    /// Slot = (hash, start, len); `start == EMPTY` marks an empty slot.
     slots: Vec<(u64, u32, u32)>,
     mask: usize,
     entries: usize,
-    tombstones: usize,
 }
 
 /// Bytes read per hash-table slot probe — the paper's `mem_hash`.
@@ -37,28 +38,39 @@ pub(crate) const SLOT_BYTES: usize = 16;
 
 /// Sentinel `start` value for an empty slot.
 const EMPTY: u32 = u32::MAX;
-/// Sentinel `start` value for a deleted slot.
-const TOMB: u32 = u32::MAX - 1;
 
 impl HashTableDirectory {
-    /// Build from unique `(hash, start, len)` triples.
+    /// Slot count for `n_nodes` entries: the next power of two at or above
+    /// twice the node count (at least 16), so the load factor stays at or
+    /// below one half.
+    pub(crate) fn capacity(n_nodes: usize) -> usize {
+        (n_nodes * 2).next_power_of_two().max(16)
+    }
+
+    /// Build from unique `(hash, start, len)` triples, with
+    /// [`HashTableDirectory::capacity`] slots.
     ///
     /// # Panics
     /// Panics on duplicate hashes (the builder merges same-hash word sets
     /// into one node before construction).
     pub(crate) fn new(items: &[(u64, u32, u32)]) -> Self {
-        let capacity = (items.len() * 2).next_power_of_two().max(16);
-        let mut dir = HashTableDirectory {
-            slots: vec![(0u64, EMPTY, 0u32); capacity],
-            mask: capacity - 1,
-            entries: 0,
-            tombstones: 0,
-        };
+        let capacity = Self::capacity(items.len());
+        let mask = capacity - 1;
+        let mut slots = vec![(0u64, EMPTY, 0u32); capacity];
         for &(hash, start, len) in items {
-            let fresh = dir.insert(hash, start, len);
-            assert!(fresh, "duplicate hash inserted into directory");
+            debug_assert!(start != EMPTY, "start collides with the empty sentinel");
+            let mut i = (hash as usize) & mask;
+            while slots[i].1 != EMPTY {
+                assert!(slots[i].0 != hash, "duplicate hash inserted into directory");
+                i = (i + 1) & mask;
+            }
+            slots[i] = (hash, start, len);
         }
-        dir
+        HashTableDirectory {
+            slots,
+            mask,
+            entries: items.len(),
+        }
     }
 
     /// Probe for `hash`. Accounts one random access for the home slot and a
@@ -83,80 +95,10 @@ impl HashTableDirectory {
             if start == EMPTY {
                 return None;
             }
-            if start != TOMB && h == hash {
+            if h == hash {
                 return Some((start, start + len));
             }
             i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Insert or update the extent for `hash`. Returns `true` if the hash
-    /// was not present before.
-    pub(crate) fn insert(&mut self, hash: u64, start: u32, len: u32) -> bool {
-        debug_assert!(start < TOMB, "start collides with sentinel values");
-        if (self.entries + self.tombstones + 1) * 10 > self.slots.len() * 7 {
-            self.grow();
-        }
-        let mut i = (hash as usize) & self.mask;
-        let mut first_tomb: Option<usize> = None;
-        loop {
-            let (h, s, _) = self.slots[i];
-            if s == EMPTY {
-                let slot = first_tomb.unwrap_or(i);
-                if self.slots[slot].1 == TOMB {
-                    self.tombstones -= 1;
-                }
-                self.slots[slot] = (hash, start, len);
-                self.entries += 1;
-                return true;
-            }
-            if s == TOMB {
-                first_tomb.get_or_insert(i);
-            } else if h == hash {
-                self.slots[i] = (hash, start, len);
-                return false;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Remove `hash`, leaving a tombstone. Returns `true` if it was present.
-    pub(crate) fn remove(&mut self, hash: u64) -> bool {
-        let mut i = (hash as usize) & self.mask;
-        loop {
-            let (h, s, _) = self.slots[i];
-            if s == EMPTY {
-                return false;
-            }
-            if s != TOMB && h == hash {
-                self.slots[i] = (0, TOMB, 0);
-                self.entries -= 1;
-                self.tombstones += 1;
-                return true;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let live: Vec<(u64, u32, u32)> = self
-            .slots
-            .iter()
-            .filter(|&&(_, s, _)| s != EMPTY && s != TOMB)
-            .copied()
-            .collect();
-        let capacity = (self.slots.len() * 2).max(16);
-        self.slots = vec![(0u64, EMPTY, 0u32); capacity];
-        self.mask = capacity - 1;
-        self.entries = 0;
-        self.tombstones = 0;
-        for (h, s, l) in live {
-            let mut i = (h as usize) & self.mask;
-            while self.slots[i].1 != EMPTY {
-                i = (i + 1) & self.mask;
-            }
-            self.slots[i] = (h, s, l);
-            self.entries += 1;
         }
     }
 
@@ -164,7 +106,7 @@ impl HashTableDirectory {
     pub(crate) fn live_nodes(&self) -> Vec<(u64, u32, u32)> {
         self.slots
             .iter()
-            .filter(|&&(_, s, _)| s != EMPTY && s != TOMB)
+            .filter(|&&(_, s, _)| s != EMPTY)
             .copied()
             .collect()
     }
@@ -425,46 +367,6 @@ mod tests {
         let mut t2 = CountingTracker::new();
         dir.lookup(3, &mut t2); // miss
         assert!(t2.random_accesses >= 9, "miss walks the full search path");
-    }
-
-    #[test]
-    fn hash_directory_insert_update_remove() {
-        let mut dir = HashTableDirectory::new(&[]);
-        assert!(dir.insert(1, 0, 10));
-        assert!(dir.insert(2, 10, 5));
-        assert!(!dir.insert(1, 100, 7), "same hash is an update");
-        let mut t = NullTracker;
-        assert_eq!(dir.lookup(1, &mut t), Some((100, 107)));
-        assert!(dir.remove(2));
-        assert!(!dir.remove(2), "double remove is a no-op");
-        assert_eq!(dir.lookup(2, &mut t), None);
-        assert_eq!(dir.entries(), 1);
-    }
-
-    #[test]
-    fn hash_directory_survives_churn() {
-        // Insert/remove cycles with colliding hashes exercise tombstone
-        // reuse and growth.
-        let mut dir = HashTableDirectory::new(&[]);
-        let mut t = NullTracker;
-        for round in 0u64..50 {
-            let base = round * 10_000;
-            for i in 0..64u64 {
-                dir.insert(base + i, (i * 100) as u32, 10);
-            }
-            for i in (0..64u64).step_by(2) {
-                assert!(dir.remove(base + i));
-            }
-            // Survivors remain findable.
-            for i in (1..64u64).step_by(2) {
-                assert!(
-                    dir.lookup(base + i, &mut t).is_some(),
-                    "round {round} key {i} lost"
-                );
-            }
-        }
-        // All historical odd keys still live.
-        assert_eq!(dir.entries(), 50 * 32);
     }
 
     #[test]

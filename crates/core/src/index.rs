@@ -193,10 +193,9 @@ pub struct BroadMatchIndex {
     group_words: Vec<WordSet>,
     group_bytes: Vec<usize>,
     n_ads: u32,
-    /// High-water ad id allocator: strictly above every id ever assigned,
-    /// so maintenance inserts after removals never reuse a live ad's id
-    /// (`n_ads` counts live ads and shrinks on removal; reusing it as the
-    /// allocator collided with surviving ads).
+    /// High-water ad id: strictly above every id ever assigned (a loaded
+    /// index restores the persisted mark), so overlay inserts
+    /// ([`crate::DeltaOverlay::for_base`]) never reuse a live ad's id.
     next_ad_id: u32,
     max_locator_len: usize,
     /// Per-ad exclusion word sets (paper, Section I): an ad is suppressed
@@ -204,8 +203,7 @@ pub struct BroadMatchIndex {
     exclusions: std::collections::HashMap<AdId, WordSet, crate::hash::FxBuildHasher>,
     /// Arena extents of shared (set-cover re-mapped) nodes, so query
     /// execution can attribute scan work to re-mapping (telemetry only;
-    /// derived from the mapping at assembly and not maintained through
-    /// incremental mutations).
+    /// derived from the mapping at assembly).
     remapped_extents: std::collections::HashSet<(u32, u32), crate::hash::FxBuildHasher>,
 }
 
@@ -643,46 +641,12 @@ impl BroadMatchIndex {
         &self.arena
     }
 
-    pub(crate) fn arena_mut(&mut self) -> &mut Arena {
-        &mut self.arena
-    }
-
     pub(crate) fn codec(&self) -> Codec {
         self.codec
     }
 
     pub(crate) fn directory(&self) -> &NodeDirectory {
         &self.directory
-    }
-
-    pub(crate) fn directory_mut(&mut self) -> &mut NodeDirectory {
-        &mut self.directory
-    }
-
-    pub(crate) fn vocab_mut(&mut self) -> &mut Vocabulary {
-        &mut self.vocab
-    }
-
-    /// Allocate the next ad id (maintenance inserts). Ids come from the
-    /// high-water allocator, never from the live-ad count, so an id freed
-    /// by a removal is never handed to a new ad.
-    pub(crate) fn alloc_ad_id(&mut self) -> AdId {
-        let id = AdId(self.next_ad_id);
-        self.next_ad_id += 1;
-        self.n_ads += 1;
-        id
-    }
-
-    pub(crate) fn note_ads_removed(&mut self, n: u32) {
-        self.n_ads = self.n_ads.saturating_sub(n);
-    }
-
-    pub(crate) fn note_locator_len(&mut self, len: usize) {
-        self.max_locator_len = self.max_locator_len.max(len);
-    }
-
-    pub(crate) fn max_locator_len(&self) -> usize {
-        self.max_locator_len
     }
 
     /// Decode every ad stored in the index (diagnostics, rebuilds, tests).

@@ -62,7 +62,6 @@ mod directory;
 mod error;
 mod hash;
 mod index;
-mod maintain;
 mod node;
 mod optimize;
 mod persist;
@@ -76,14 +75,13 @@ mod workload;
 
 pub use build::{DirectoryKind, IndexBuilder, IndexConfig, RemapMode};
 pub use costmodel::{CostBreakdown, MappingCost};
-pub use delta::{resolve_exact, DeltaOverlay};
+pub use delta::DeltaOverlay;
 pub use error::BuildError;
 pub use hash::{wordhash, FxBuildHasher, FxHasher};
 pub use index::{
     BroadMatchIndex, IndexStats, MatchHit, MatchType, ProbeBatch, QueryPlan, QueryStats,
     ScannedNode,
 };
-pub use maintain::MaintainedIndex;
 pub use node::{SITE_EARLY_TERM, SITE_ENTRY_MATCH, SITE_PROBE};
 pub use optimize::{Mapping, MappingStats};
 pub use persist::PersistError;

@@ -25,7 +25,6 @@ use crate::{AdId, AdInfo, WordId, WordSet};
 
 /// Which node encoding an index uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) enum Codec {
     Plain,
     Compressed,

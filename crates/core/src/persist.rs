@@ -520,7 +520,7 @@ impl BroadMatchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AdInfo, IndexBuilder, MatchType};
+    use crate::{AdId, AdInfo, IndexBuilder, MatchType};
 
     fn sample_index(directory: DirectoryKind, compress: bool) -> BroadMatchIndex {
         let config = IndexConfig {
@@ -669,10 +669,18 @@ mod tests {
         let mut buf = Vec::new();
         index.save(&mut buf).unwrap();
         let loaded = BroadMatchIndex::load(&mut buf.as_slice()).unwrap();
-        let maintained = crate::MaintainedIndex::new(loaded).unwrap();
-        maintained
+        let live: std::collections::HashSet<AdId> = loaded
+            .iter_all_ads()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
+        let mut overlay = crate::DeltaOverlay::for_base(&loaded);
+        let id = overlay
             .insert("fresh phrase", AdInfo::with_bid(777, 30))
             .unwrap();
-        assert_eq!(maintained.query("fresh phrase", MatchType::Broad).len(), 1);
+        assert!(!live.contains(&id), "fresh {id:?} collides with a live ad");
+        let (hits, _) = loaded.query_with_overlay(&overlay, "fresh phrase", MatchType::Broad);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].ad, id);
     }
 }

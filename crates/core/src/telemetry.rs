@@ -245,57 +245,6 @@ pub fn probe_trace_stats(stats: &QueryStats) -> ProbeTraceStats {
     }
 }
 
-/// Handles to the `broadmatch_maintain_*` families (index mutations).
-#[derive(Debug, Clone)]
-pub(crate) struct MaintainCounters {
-    pub inserts: Arc<Counter>,
-    pub removes: Arc<Counter>,
-    pub ads_removed: Arc<Counter>,
-    pub reoptimizes: Arc<Counter>,
-    pub reoptimize_ms: Arc<Histogram>,
-    pub dead_bytes: Arc<Gauge>,
-}
-
-impl MaintainCounters {
-    /// Register against the process-global registry (maintenance has no
-    /// natural registry to thread through).
-    pub(crate) fn global() -> Self {
-        let registry = Registry::global();
-        MaintainCounters {
-            inserts: registry.counter(
-                "broadmatch_maintain_inserts_total",
-                "Ads inserted through the maintenance path",
-                &[],
-            ),
-            removes: registry.counter(
-                "broadmatch_maintain_removes_total",
-                "Remove operations processed (broad-match-equivalent deletes)",
-                &[],
-            ),
-            ads_removed: registry.counter(
-                "broadmatch_maintain_ads_removed_total",
-                "Ads actually deleted by remove operations",
-                &[],
-            ),
-            reoptimizes: registry.counter(
-                "broadmatch_maintain_reoptimize_total",
-                "Periodic re-optimization rebuilds",
-                &[],
-            ),
-            reoptimize_ms: registry.histogram(
-                "broadmatch_maintain_reoptimize_ms",
-                "Wall-clock duration of re-optimization rebuilds",
-                &[],
-            ),
-            dead_bytes: registry.gauge(
-                "broadmatch_maintain_dead_bytes",
-                "Arena bytes orphaned by node rewrites since the last rebuild",
-                &[],
-            ),
-        }
-    }
-}
-
 /// Record one greedy set-cover optimizer run against the global registry
 /// (`broadmatch_remap_*` families).
 pub(crate) fn record_remap_run(

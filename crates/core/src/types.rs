@@ -5,7 +5,6 @@
 /// Folded duplicate tokens (see [`crate::fold_duplicates`]) get their own
 /// ids, distinct from the base word's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WordId(pub u32);
 
 impl WordId {
@@ -19,7 +18,6 @@ impl WordId {
 /// Identifier of one advertisement within an index (dense, assigned at
 /// build/insert time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdId(pub u32);
 
 impl AdId {
@@ -38,7 +36,6 @@ impl AdId {
 /// filtering needs; their serialized size is what the cost model's
 /// `size(info(A_i))` measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdInfo {
     /// Listing identifier (external key chosen by the caller).
     pub listing_id: u64,

@@ -28,9 +28,7 @@ use crate::{WordId, WordSet};
 /// assert_eq!(vocab.len(), 2);
 /// ```
 #[derive(Debug, Default, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vocabulary {
-    #[cfg_attr(feature = "serde", serde(skip))]
     map: HashMap<Box<str>, WordId, FxBuildHasher>,
     words: Vec<Box<str>>,
     /// Number of indexed phrases each word occurs in.
@@ -119,17 +117,6 @@ impl Vocabulary {
             self.get(&token.key())
         }
     }
-
-    /// Rebuild the interning map after deserialization (`map` is skipped by
-    /// serde because `Box<str>` keys would be stored twice).
-    pub fn rebuild_map(&mut self) {
-        self.map = self
-            .words
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.clone(), WordId(i as u32)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -181,19 +168,5 @@ mod tests {
         assert_eq!(set.len(), 2); // "today" unknown, dropped from the set
         assert_eq!(raw.len(), 3);
         assert!(raw[2].is_none());
-    }
-
-    #[test]
-    fn rebuild_map_round_trip() {
-        let mut v = Vocabulary::new();
-        v.intern("x");
-        v.intern("y");
-        // Emulate the post-deserialization state: the map is skipped.
-        let mut copy = v.clone();
-        copy.map.clear();
-        assert_eq!(copy.get("y"), None);
-        copy.rebuild_map();
-        assert_eq!(copy.get("y"), v.get("y"));
-        assert_eq!(copy.get("x"), v.get("x"));
     }
 }

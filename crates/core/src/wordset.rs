@@ -18,7 +18,6 @@ use crate::{wordhash, WordId};
 /// assert!(!b.is_subset_of(&a));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WordSet(Box<[WordId]>);
 
 impl WordSet {

@@ -8,7 +8,6 @@ use crate::zipf::{zipf_counts, ZipfSampler};
 
 /// Configuration for [`AdCorpus::generate`].
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CorpusConfig {
     /// Target number of advertisements (actual count may differ by rounding
     /// of the per-word-set deal-out; see [`AdCorpus::len`]).
@@ -88,7 +87,6 @@ impl CorpusConfig {
 
 /// One generated advertisement.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GeneratedAd {
     /// The bid phrase.
     pub phrase: String,
@@ -98,7 +96,6 @@ pub struct GeneratedAd {
 
 /// A generated corpus of advertisements.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdCorpus {
     ads: Vec<GeneratedAd>,
     /// Distinct word-set phrases (canonical word order), one per set —

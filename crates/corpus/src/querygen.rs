@@ -8,7 +8,6 @@ use crate::AdCorpus;
 
 /// Configuration for [`Workload::generate`].
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QueryGenConfig {
     /// Number of distinct queries.
     pub distinct_queries: usize,
@@ -55,7 +54,6 @@ impl QueryGenConfig {
 /// A synthetic query workload: distinct weighted queries, plus trace
 /// sampling for throughput experiments.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Workload {
     entries: Vec<(String, u64)>,
     config: QueryGenConfig,

@@ -621,7 +621,7 @@ impl ServeRuntime {
         let mut st = poison::lock(&self.inner.update);
         let snapshot = self.inner.snapshot.load();
         let mut overlay = (*snapshot.overlay).clone();
-        let removed = update::apply_remove(&snapshot.sharded, &mut overlay, phrase, listing_id);
+        let removed = overlay.remove(snapshot.sharded.index(), phrase, listing_id);
         if removed == 0 {
             return 0; // nothing changed; skip the republish and the log
         }

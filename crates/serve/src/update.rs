@@ -21,7 +21,7 @@ use std::sync::atomic::Ordering::SeqCst;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use broadmatch::{AdId, AdInfo, BuildError, DeltaOverlay, MatchType};
+use broadmatch::{AdInfo, BuildError, DeltaOverlay};
 
 use crate::poison;
 use crate::runtime::{Generation, Inner};
@@ -68,40 +68,6 @@ pub(crate) enum UpdateOp {
 pub(crate) struct UpdateState {
     pub(crate) log: Vec<UpdateOp>,
     pub(crate) base_epoch: u64,
-}
-
-/// Apply a remove against `(sharded base, overlay)`: drop matching overlay
-/// inserts, then resolve the base victims with the paper's query-shaped
-/// delete — the phrase planned as an exact-match query, probes routed and
-/// executed shard by shard exactly like a serving query — and tombstone
-/// them. Exclusion filtering is skipped on purpose: deletion must find an
-/// ad even when the phrase contains one of its own exclusion words.
-pub(crate) fn apply_remove(
-    sharded: &ShardedIndex,
-    overlay: &mut DeltaOverlay,
-    phrase: &str,
-    listing_id: u64,
-) -> usize {
-    let local = overlay.remove_local(phrase, listing_id);
-    let mut tombstoned = 0;
-    if let Some(plan) = sharded.plan(phrase, MatchType::Exact) {
-        let mut victims: Vec<AdId> = Vec::new();
-        for shard in 0..sharded.n_shards() {
-            let batch = sharded.execute_shard(&plan, shard);
-            victims.extend(
-                batch
-                    .nodes
-                    .iter()
-                    .flat_map(|n| n.hits.iter())
-                    .filter(|h| h.info.listing_id == listing_id)
-                    .map(|h| h.ad),
-            );
-        }
-        // The same node can be reached from two shards (shared locators,
-        // hash collisions); the tombstone set deduplicates.
-        tombstoned = overlay.tombstone_ads(victims);
-    }
-    local + tombstoned
 }
 
 /// Fold the current overlay into a rebuilt base and republish.
@@ -153,7 +119,7 @@ pub(crate) fn compact(
                     let _ = overlay.insert(phrase, *info); // validated when first applied
                 }
                 UpdateOp::Remove { phrase, listing_id } => {
-                    apply_remove(&sharded, &mut overlay, phrase, *listing_id);
+                    overlay.remove(&folded, phrase, *listing_id);
                 }
             }
         }

@@ -7,7 +7,7 @@
 //! ```
 
 use sponsored_search::broadmatch::{
-    AdInfo, BroadMatchIndex, IndexBuilder, IndexConfig, MaintainedIndex, MatchType, RemapMode,
+    AdInfo, BroadMatchIndex, DeltaOverlay, IndexBuilder, IndexConfig, MatchType, RemapMode,
 };
 use sponsored_search::corpus::{AdCorpus, CorpusConfig, QueryGenConfig, Workload};
 
@@ -77,16 +77,15 @@ fn main() {
         .is_empty());
     println!("exclusion phrases intact: 'replica designer handbags' matches nothing");
 
-    // And the loaded index is immediately maintainable.
-    let serving = MaintainedIndex::new(loaded).expect("hash directory");
-    serving
+    // And the loaded index is immediately maintainable through an overlay.
+    let mut overlay = DeltaOverlay::for_base(&loaded);
+    overlay
         .insert("weekend flash sale", AdInfo::with_bid(1234, 80))
         .expect("valid phrase");
+    let (hits, _) = loaded.query_with_overlay(&overlay, "weekend flash sale now", MatchType::Broad);
     println!(
         "online insert works after load: {} hits for 'weekend flash sale now'",
-        serving
-            .query("weekend flash sale now", MatchType::Broad)
-            .len()
+        hits.len()
     );
 
     std::fs::remove_file(&path).ok();

@@ -8,7 +8,7 @@
 #     memory safety, and contribute nothing under an interpreter;
 #   - the persist round-trip corpus shrinks under `cfg(miri)`;
 #   - everything else — delta overlay, tombstone filtering, persist
-#     round-trips, maintenance, matching — runs in full.
+#     round-trips, matching — runs in full.
 #
 # -Zmiri-disable-isolation: the optimizer reads Instant::now() for its
 # telemetry; isolation would reject that. No other host access happens.

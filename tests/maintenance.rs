@@ -1,133 +1,38 @@
-//! Maintenance under random operation streams: after any interleaving of
-//! inserts and removals, the maintained index answers exactly like an index
-//! rebuilt from scratch over the surviving ads.
+//! Online maintenance under concurrent load: readers querying a serving
+//! runtime never lose base ads while a writer inserts through the delta
+//! overlay, and every insert is present once the writer finishes.
 //!
-//! The randomized stream test is property-based; enable it with
-//! `cargo test --features proptest-tests`.
+//! Randomized insert/remove/fold streams against a rebuilt reference are
+//! covered by `tests/differential.rs`.
 
-use sponsored_search::broadmatch::{AdInfo, IndexBuilder, MaintainedIndex, MatchType};
+use std::sync::Arc;
 
-#[cfg(feature = "proptest-tests")]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
-
-    #[derive(Debug, Clone)]
-    enum Op {
-        Insert { words: Vec<u8>, listing: u64 },
-        Remove { target: usize },
-        Reoptimize,
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            6 => (proptest::collection::vec(0u8..10, 1..5), 1u64..10_000)
-                .prop_map(|(words, listing)| Op::Insert { words, listing }),
-            3 => (0usize..100).prop_map(|target| Op::Remove { target }),
-            1 => Just(Op::Reoptimize),
-        ]
-    }
-
-    fn phrase_from(words: &[u8]) -> String {
-        words
-            .iter()
-            .map(|w| format!("w{w}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(25))]
-
-        #[test]
-        fn maintained_index_matches_rebuild(
-            ops in proptest::collection::vec(op_strategy(), 1..40),
-            queries in proptest::collection::vec(proptest::collection::vec(0u8..10, 1..6), 1..8),
-        ) {
-            let mut builder = IndexBuilder::new();
-            builder.add("w0 w1", AdInfo::with_bid(500_000, 10)).expect("valid");
-            let index = MaintainedIndex::new(builder.build().expect("valid")).expect("hash dir");
-            // Reference state: (phrase, listing) multiset.
-            let mut live: Vec<(String, u64)> = vec![("w0 w1".to_string(), 500_000)];
-
-            for op in &ops {
-                match op {
-                    Op::Insert { words, listing } => {
-                        let phrase = phrase_from(words);
-                        index
-                            .insert(&phrase, AdInfo::with_bid(*listing, 10))
-                            .expect("valid");
-                        live.push((phrase, *listing));
-                    }
-                    Op::Remove { target } => {
-                        if live.is_empty() {
-                            continue;
-                        }
-                        let (phrase, listing) = live[target % live.len()].clone();
-                        let removed = index.remove(&phrase, listing);
-                        let before = live.len();
-                        live.retain(|(p, l)| !(p == &phrase && *l == listing));
-                        prop_assert_eq!(removed, before - live.len(), "removal count for {}", phrase);
-                    }
-                    Op::Reoptimize => {
-                        index.reoptimize(None).expect("rebuild");
-                    }
-                }
-            }
-
-            // Rebuild from scratch over the surviving ads.
-            let mut rebuild = IndexBuilder::new();
-            for (phrase, listing) in &live {
-                rebuild.add(phrase, AdInfo::with_bid(*listing, 10)).expect("valid");
-            }
-            let rebuilt = rebuild.build().expect("valid");
-
-            prop_assert_eq!(index.len(), live.len());
-            for q_words in &queries {
-                let query = phrase_from(q_words);
-                let mut a: Vec<u64> = index
-                    .query(&query, MatchType::Broad)
-                    .iter()
-                    .map(|h| h.info.listing_id)
-                    .collect();
-                let mut b: Vec<u64> = rebuilt
-                    .query(&query, MatchType::Broad)
-                    .iter()
-                    .map(|h| h.info.listing_id)
-                    .collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                prop_assert_eq!(a, b, "query {:?} after ops {:?}", &query, &ops);
-            }
-        }
-    }
-}
+use sponsored_search::broadmatch::{AdInfo, IndexBuilder, MatchType};
+use sponsored_search::serve::ServeRuntime;
 
 #[test]
 fn concurrent_readers_during_writes() {
-    use std::sync::Arc;
-
     let mut builder = IndexBuilder::new();
     for i in 0..200u64 {
         builder
             .add(&format!("base{} item", i % 20), AdInfo::with_bid(i, 10))
             .expect("valid");
     }
-    let index = Arc::new(MaintainedIndex::new(builder.build().expect("valid")).expect("hash dir"));
+    let runtime = ServeRuntime::with_defaults(Arc::new(builder.build().expect("valid")));
 
     std::thread::scope(|s| {
         // Four readers hammering queries while a writer churns.
         for r in 0..4 {
-            let index = Arc::clone(&index);
+            let runtime = &runtime;
             s.spawn(move || {
                 for i in 0..2_000u64 {
                     let q = format!("base{} item extra", (i + r) % 20);
-                    let hits = index.query(&q, MatchType::Broad);
+                    let hits = runtime.query(&q, MatchType::Broad).expect("admitted").hits;
                     assert!(hits.len() >= 10, "query {q} lost ads mid-write");
                 }
             });
         }
-        let writer = Arc::clone(&index);
+        let writer = &runtime;
         s.spawn(move || {
             for i in 0..500u64 {
                 writer
@@ -140,5 +45,11 @@ fn concurrent_readers_during_writes() {
         });
     });
 
-    assert_eq!(index.len(), 700);
+    let (base, _) = runtime.current();
+    assert_eq!(base.stats().ads + runtime.metrics().overlay_ads, 700);
+    for i in [0u64, 250, 499] {
+        let q = format!("fresh{i} thing");
+        let hits = runtime.query(&q, MatchType::Exact).expect("admitted").hits;
+        assert_eq!(hits.len(), 1, "insert {q} missing");
+    }
 }

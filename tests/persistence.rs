@@ -99,81 +99,52 @@ fn every_flipped_byte_is_detected_or_harmless() {
     assert_eq!(detected, positions.len());
 }
 
-/// Section VI maintenance meets persistence: an index mutated in place
-/// (inserts + removes leaving dead bytes in live nodes) must survive a
-/// save/load cycle with identical answers, stats, and — via the format's
-/// ad-id high-water mark — remain safely maintainable after reload.
+/// Section VI maintenance meets persistence: a reloaded index — via the
+/// format's ad-id high-water mark — is maintainable through a fresh delta
+/// overlay. Deletes of base ads take effect, and a new insert gets an id no
+/// live ad holds and is returned by overlay queries.
 #[test]
 fn maintained_index_round_trips_after_deletes() {
-    use sponsored_search::broadmatch::MaintainedIndex;
+    use sponsored_search::broadmatch::DeltaOverlay;
 
     let corpus = AdCorpus::generate(CorpusConfig::small(41));
-    let workload = Workload::generate(QueryGenConfig::small(41), &corpus);
-    for compress in [false, true] {
-        let maintained =
-            MaintainedIndex::new(build(&corpus, DirectoryKind::HashTable, compress)).unwrap();
-        for i in 0..20u64 {
-            maintained
-                .insert(
-                    &format!("maintfresh{} extra", i % 6),
-                    AdInfo::with_bid(900_000 + i, 7),
-                )
-                .unwrap();
-        }
-        // Delete a slice of the original corpus: the bytes stay in their
-        // nodes as dead space until the next reoptimize.
-        let mut removed = 0;
-        for ad in corpus.ads().iter().step_by(7).take(30) {
-            removed += maintained.remove(&ad.phrase, ad.info.listing_id);
-        }
-        assert!(removed > 0, "victims must exist");
-        assert!(
-            maintained.dead_bytes() > 0,
-            "deletes must leave live tombstoned bytes"
-        );
-
-        let (buf, want_stats) = maintained.with_index(|idx| {
-            let mut buf = Vec::new();
-            idx.save(&mut buf).expect("serialize maintained index");
-            (buf, idx.stats())
-        });
+    for (directory, compress) in [
+        (DirectoryKind::HashTable, false),
+        (DirectoryKind::Succinct, true),
+    ] {
+        let index = build(&corpus, directory, compress);
+        let mut buf = Vec::new();
+        index.save(&mut buf).expect("serialize");
         let loaded = BroadMatchIndex::load(&mut buf.as_slice()).expect("load");
-        assert_eq!(
-            loaded.stats(),
-            want_stats,
-            "stats (incl. dead_bytes) survive, compress={compress}"
-        );
-
-        // Behavioral equivalence: removed ads stay gone, inserts stay
-        // found, across a real query trace.
-        for q in workload.sample_trace(300, 11) {
-            let want: Vec<_> = maintained.query(q, MatchType::Broad);
-            let got = loaded.query(q, MatchType::Broad);
-            assert_eq!(got, want, "query {q:?} diverged after reload");
-        }
-        assert_eq!(
-            loaded.query("maintfresh0 extra", MatchType::Exact).len(),
-            maintained
-                .query("maintfresh0 extra", MatchType::Exact)
-                .len()
-        );
-
-        // Maintainability after reload: the persisted high-water mark must
-        // keep new ids clear of every live ad (removed ids not reused).
         let live_ids: std::collections::HashSet<u32> =
             loaded.export_ads().iter().map(|(_, id, _)| id.0).collect();
-        let reloaded = MaintainedIndex::new(loaded).unwrap();
-        let id = reloaded
+
+        let mut overlay = DeltaOverlay::for_base(&loaded);
+        let victims: Vec<_> = corpus.ads().iter().step_by(7).take(30).collect();
+        let mut removed = 0;
+        for ad in &victims {
+            removed += overlay.remove(&loaded, &ad.phrase, ad.info.listing_id);
+        }
+        assert!(removed > 0, "victims must exist ({directory:?})");
+        for ad in &victims {
+            let (hits, _) = loaded.query_with_overlay(&overlay, &ad.phrase, MatchType::Exact);
+            assert!(
+                hits.iter().all(|h| h.info.listing_id != ad.info.listing_id),
+                "deleted {:?} still served ({directory:?})",
+                ad.phrase
+            );
+        }
+
+        let id = overlay
             .insert("post reload insert", AdInfo::with_bid(950_000, 9))
             .unwrap();
         assert!(
             !live_ids.contains(&id.0),
-            "fresh id {id:?} collides with a live ad after reload"
+            "fresh id {id:?} collides with a live ad after reload ({directory:?})"
         );
-        assert_eq!(
-            reloaded.query("post reload insert", MatchType::Exact).len(),
-            1
-        );
+        let (hits, _) = loaded.query_with_overlay(&overlay, "post reload insert", MatchType::Exact);
+        assert_eq!(hits.len(), 1, "{directory:?}");
+        assert_eq!(hits[0].ad, id);
     }
 }
 
@@ -221,31 +192,32 @@ fn folded_overlay_round_trips() {
 }
 
 /// The Section VI compression report stays internally consistent on an
-/// index that has been mutated in place and round-tripped.
+/// index that has been maintained (overlay inserts and tombstones, folded
+/// into a rebuilt base) and round-tripped.
 #[test]
 fn compression_report_survives_maintenance_and_reload() {
-    use sponsored_search::broadmatch::MaintainedIndex;
+    use sponsored_search::broadmatch::DeltaOverlay;
 
     let corpus = AdCorpus::generate(CorpusConfig::small(47));
-    // Maintenance needs the mutable hash-table directory; node compression
-    // is orthogonal and stays on.
-    let maintained = MaintainedIndex::new(build(&corpus, DirectoryKind::HashTable, true)).unwrap();
+    let base = build(&corpus, DirectoryKind::HashTable, true);
+    let mut overlay = DeltaOverlay::for_base(&base);
     for i in 0..10u64 {
-        maintained
+        overlay
             .insert(
                 &format!("comp{} pressed", i),
                 AdInfo::with_bid(700_000 + i, 2),
             )
             .unwrap();
     }
+    let mut removed = 0;
     for ad in corpus.ads().iter().step_by(11).take(10) {
-        maintained.remove(&ad.phrase, ad.info.listing_id);
+        removed += overlay.remove(&base, &ad.phrase, ad.info.listing_id);
     }
-    let (buf, report) = maintained.with_index(|idx| {
-        let mut buf = Vec::new();
-        idx.save(&mut buf).expect("serialize");
-        (buf, idx.compression_report())
-    });
+    assert!(removed > 0, "victims must exist");
+    let maintained = overlay.fold(&base, None).expect("fold");
+    let mut buf = Vec::new();
+    maintained.save(&mut buf).expect("serialize");
+    let report = maintained.compression_report();
     assert!(report.entries > 0);
     assert!(report.node_compressed_bytes > 0);
     assert!(report.node_plain_bytes >= report.node_compressed_bytes / 2);
