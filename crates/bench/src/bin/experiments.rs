@@ -19,7 +19,7 @@ experiment ids:
   fig8             bytes read vs corpus size             (Fig. 8)
   modified-bytes   modified-index data volume            (Sec. VII-A)
   multiserver      two-server deployment + latency dist  (Sec. VII-B, Fig. 9)
-  serve-throughput serving-runtime shard/worker sweep + netsim calibration
+  serve-throughput serving-runtime worker/client sweep + netsim calibration
   net-throughput   loopback TCP cluster vs netsim fan-out model
   update-churn     online insert/delete + compaction latency (Sec. VI)
   cost-model-fit   predicted vs measured query cost      (Sec. IV-A; --tiny for smoke runs)

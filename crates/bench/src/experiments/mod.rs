@@ -10,7 +10,7 @@
 //! | `fig8` | Fig. 8 bytes-read ratio vs corpus size | [`bytes::fig8`] |
 //! | `modified-bytes` | §VII-A modified-index data volume | [`bytes::modified_bytes`] |
 //! | `multiserver` | §VII-B + Fig. 9 | [`multiserver::run`] |
-//! | `serve-throughput` | serving-runtime shard×worker sweep + netsim calibration | [`serve_throughput::run`] |
+//! | `serve-throughput` | serving-runtime worker×client sweep + netsim calibration | [`serve_throughput::run`] |
 //! | `net-throughput` | loopback TCP cluster vs netsim fan-out model | [`net_throughput::run`] |
 //! | `update-churn` | §VI online maintenance: latency under insert/delete + compaction | [`update_churn::run`] |
 //! | `cost-model-fit` | §IV-A predicted vs measured cost | [`cost_model_fit::run`] |

@@ -101,11 +101,10 @@ fn start_backend(ads: &[GeneratedAd]) -> Backend {
     let runtime = ServeRuntime::start(
         index,
         ServeConfig {
-            n_shards: BACKEND_WORKERS,
             n_workers: BACKEND_WORKERS,
             queue_capacity: 512,
-            batch_size: 8,
             trace_sample_every: 0,
+            ..ServeConfig::default()
         },
     );
     Backend::bind("127.0.0.1:0", Arc::new(runtime), BackendConfig::default())

@@ -1,14 +1,16 @@
-//! serve-throughput — shard × worker sweep of the `broadmatch-serve`
+//! serve-throughput — worker × client sweep of the `broadmatch-serve`
 //! runtime, plus the calibration path that feeds measured service times
 //! back into the paper's two-server deployment model (§VII-B).
 //!
-//! Closed-loop clients replay a workload trace through [`ServeRuntime`];
-//! each grid cell reports aggregate throughput, end-to-end latency and
-//! admission rejects. The best cell's measured latency distribution then
-//! seeds `broadmatch_netsim::ServiceDist` — both from raw reservoir
-//! samples and from the runtime's 5 ms histogram buckets — and the
-//! simulator predicts deployment capacity from real measurements instead
-//! of analytic guesses.
+//! Closed-loop client threads replay a workload trace through
+//! [`ServeRuntime`], each query running on its client's thread behind the
+//! runtime's admission gate of `n_workers` slots; each grid cell reports
+//! aggregate throughput, end-to-end latency and admission rejects. The
+//! reference cell's measured execution-latency distribution then seeds
+//! `broadmatch_netsim::ServiceDist` — both from raw reservoir samples and
+//! from the runtime's 5 ms histogram buckets — and the simulator predicts
+//! deployment capacity from real measurements instead of analytic
+//! guesses.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
@@ -23,19 +25,21 @@ use crate::experiments::multiserver::OVERHEAD_MS;
 use crate::table::{fi, Table};
 use crate::Scale;
 
-/// Concurrent closed-loop clients driving each configuration.
-const N_CLIENTS: usize = 8;
+/// The grid: `(n_workers, n_clients)` — client scaling on one slot, then
+/// worker scaling under the heaviest client load. The last cell is the
+/// reference for calibration and the telemetry-overhead replays.
+const GRID: &[(usize, usize)] = &[(1, 1), (1, 4), (1, 8), (2, 8), (4, 8)];
 
 /// One grid cell of the sweep.
 #[derive(Debug, Clone)]
 pub struct ServeCell {
-    /// Probe-space shards.
-    pub n_shards: usize,
-    /// Pool worker threads.
+    /// Queries allowed to execute at once.
     pub n_workers: usize,
+    /// Concurrent closed-loop client threads.
+    pub n_clients: usize,
     /// Aggregate queries per second over the trace replay.
     pub qps: f64,
-    /// Mean end-to-end latency (plan → gather), milliseconds.
+    /// Mean end-to-end latency (arrival → answer), milliseconds.
     pub mean_ms: f64,
     /// 95th-percentile end-to-end latency, milliseconds.
     pub p95_ms: f64,
@@ -43,8 +47,6 @@ pub struct ServeCell {
     pub rejected: u64,
     /// Rejected / (accepted + rejected) over the replay.
     pub reject_ratio: f64,
-    /// Per-shard reject attribution (which full queue refused the query).
-    pub shard_rejects: Vec<u64>,
 }
 
 /// Sweep results plus the netsim calibration outcome.
@@ -54,8 +56,8 @@ pub struct ServeThroughputReport {
     pub direct_qps: f64,
     /// One entry per swept configuration.
     pub cells: Vec<ServeCell>,
-    /// Simulated two-server capacity using service times measured on the
-    /// reference pool configuration.
+    /// Simulated two-server capacity using execution times measured on the
+    /// reference configuration.
     pub predicted_qps: f64,
     /// Throughput cost of tracing every query vs tracing none, percent
     /// (positive = tracing is slower). Target: under 5%.
@@ -103,25 +105,23 @@ fn build_scenario(scale: Scale, seed: u64) -> (Arc<BroadMatchIndex>, Vec<String>
 fn run_cell(
     index: &Arc<BroadMatchIndex>,
     trace: &[String],
-    n_shards: usize,
-    n_workers: usize,
+    (n_workers, n_clients): (usize, usize),
     trace_sample_every: u64,
 ) -> (ServeCell, ServeMetrics) {
     let runtime = ServeRuntime::start(
         Arc::clone(index),
         ServeConfig {
-            n_shards,
             n_workers,
             queue_capacity: 512,
-            batch_size: 8,
             trace_sample_every,
+            ..ServeConfig::default()
         },
     );
     let next = AtomicUsize::new(0);
     let rejected = AtomicU64::new(0);
     let start = Instant::now();
     std::thread::scope(|s| {
-        for _ in 0..N_CLIENTS {
+        for _ in 0..n_clients {
             s.spawn(|| loop {
                 // ORDER: Relaxed — work-distribution counter; uniqueness from fetch_add, no memory published through it.
                 let i = next.fetch_add(1, Relaxed);
@@ -137,7 +137,6 @@ fn run_cell(
                             rejected.fetch_add(1, Relaxed);
                             std::thread::sleep(retry_after.min(Duration::from_micros(500)));
                         }
-                        Err(ServeError::ShuttingDown) => return,
                     }
                 }
             });
@@ -147,26 +146,25 @@ fn run_cell(
     let metrics = runtime.metrics();
     let attempts = metrics.accepted + metrics.rejected;
     let cell = ServeCell {
-        n_shards,
         n_workers,
+        n_clients,
         qps: trace.len() as f64 / wall,
         mean_ms: metrics.query_latency.mean_ms(),
         p95_ms: metrics.query_latency.percentile_ms(0.95),
         // ORDER: Relaxed — final single-threaded readback after the scope joins.
         rejected: rejected.load(Relaxed),
         reject_ratio: metrics.rejected as f64 / attempts.max(1) as f64,
-        shard_rejects: metrics.shard_rejects.clone(),
     };
     (cell, metrics)
 }
 
 /// Run the sweep and calibration; prints the tables and returns the data.
 pub fn run(scale: Scale, seed: u64) -> ServeThroughputReport {
-    println!("== serve-throughput: worker-pool scaling + netsim calibration ==");
+    println!("== serve-throughput: worker x client scaling + netsim calibration ==");
     let (index, trace) = build_scenario(scale, seed);
     let stats = index.stats();
     println!(
-        "corpus: {} ads, {} nodes, trace of {} queries, {N_CLIENTS} closed-loop clients",
+        "corpus: {} ads, {} nodes, trace of {} queries per cell",
         stats.ads,
         stats.nodes,
         trace.len()
@@ -180,36 +178,29 @@ pub fn run(scale: Scale, seed: u64) -> ServeThroughputReport {
     let direct_qps = trace.len() as f64 / start.elapsed().as_secs_f64();
     println!("direct single-threaded baseline: {} qps\n", fi(direct_qps));
 
-    // The grid: worker scaling at fixed shards, then shard scaling at
-    // fixed workers.
-    let grid: &[(usize, usize)] = &[(1, 1), (2, 2), (4, 1), (4, 2), (4, 4), (2, 4), (8, 4)];
-    let mut cells = Vec::with_capacity(grid.len());
+    let mut cells = Vec::with_capacity(GRID.len());
     let mut reference: Option<ServeMetrics> = None;
     let mut t = Table::new(&[
-        "shards",
         "workers",
+        "clients",
         "qps",
         "mean ms",
         "p95 ms",
         "rejected",
         "rej ratio",
-        "rej by shard",
     ]);
-    for &(n_shards, n_workers) in grid {
-        let (cell, metrics) = run_cell(&index, &trace, n_shards, n_workers, 64);
+    for &shape in GRID {
+        let (cell, metrics) = run_cell(&index, &trace, shape, 64);
         t.row_owned(vec![
-            cell.n_shards.to_string(),
             cell.n_workers.to_string(),
+            cell.n_clients.to_string(),
             fi(cell.qps),
             format!("{:.3}", cell.mean_ms),
             format!("{:.3}", cell.p95_ms),
             cell.rejected.to_string(),
             format!("{:.4}", cell.reject_ratio),
-            format!("{:?}", cell.shard_rejects),
         ]);
-        if (n_shards, n_workers) == (4, 4) {
-            reference = Some(metrics);
-        }
+        reference = Some(metrics);
         cells.push(cell);
     }
     t.print();
@@ -222,13 +213,14 @@ pub fn run(scale: Scale, seed: u64) -> ServeThroughputReport {
     // themselves cannot be turned off — they ARE the product — so this
     // bounds the cost of the optional tracer layer. The default-sampling
     // delta is the one the <5% budget applies to.
-    let (cell_off, _) = run_cell(&index, &trace, 4, 4, 0);
-    let (cell_dflt, _) = run_cell(&index, &trace, 4, 4, 64);
-    let (cell_all, _) = run_cell(&index, &trace, 4, 4, 1);
+    let (workers, clients) = GRID[GRID.len() - 1];
+    let (cell_off, _) = run_cell(&index, &trace, (workers, clients), 0);
+    let (cell_dflt, _) = run_cell(&index, &trace, (workers, clients), 64);
+    let (cell_all, _) = run_cell(&index, &trace, (workers, clients), 1);
     let overhead_pct = (cell_off.qps - cell_dflt.qps) / cell_off.qps * 100.0;
     let overhead_all_pct = (cell_off.qps - cell_all.qps) / cell_off.qps * 100.0;
     println!(
-        "telemetry overhead at 4x4: {} qps untraced vs {} qps at default 1-in-64 \
+        "telemetry overhead at {workers} workers x {clients} clients: {} qps untraced vs {} qps at default 1-in-64 \
          sampling ({overhead_pct:+.1}% delta; target < 5%) vs {} qps tracing every \
          query ({overhead_all_pct:+.1}%, worst case)\n",
         fi(cell_off.qps),
@@ -236,28 +228,19 @@ pub fn run(scale: Scale, seed: u64) -> ServeThroughputReport {
         fi(cell_all.qps),
     );
 
-    // Calibration: measured service times -> the §VII-B deployment model.
-    // Primary path: the latency reservoir at full resolution; the 5 ms
-    // bucket path is printed alongside (it is what a production dashboard
-    // would actually export).
-    let reference = reference.expect("grid contains the reference cell");
-    let sampled = ServiceDist::from_samples(
-        reference
-            .query_latency
-            .samples()
-            .iter()
-            .map(|&ms| ms + OVERHEAD_MS)
-            .collect(),
-    );
-    let bucketed = ServiceDist::from_bucket_counts(
-        reference.query_latency.bucket_ms(),
-        reference.query_latency.counts(),
-    );
+    // Calibration: measured execution times (admission to finish, wait
+    // excluded) -> the §VII-B deployment model. Primary path: the latency
+    // reservoir at full resolution; the 5 ms bucket path is printed
+    // alongside (it is what a production dashboard would actually export).
+    let exec = reference.expect("grid is not empty").exec_latency;
+    let sampled =
+        ServiceDist::from_samples(exec.samples().iter().map(|&ms| ms + OVERHEAD_MS).collect());
+    let bucketed = ServiceDist::from_bucket_counts(exec.bucket_ms(), exec.counts());
     println!(
         "measured index service time: {:.3} ms mean from {} reservoir samples \
          ({:.3} ms via 5 ms buckets — bucket-floor quantization)",
         sampled.mean(),
-        reference.query_latency.samples().len(),
+        exec.samples().len(),
         bucketed.mean()
     );
     let report = saturate(
@@ -288,9 +271,8 @@ mod tests {
     fn sweep_covers_grid_and_calibrates() {
         let r = run(Scale::Small, 77);
         assert!(r.direct_qps > 0.0);
-        assert_eq!(r.cells.len(), 7);
+        assert_eq!(r.cells.len(), GRID.len());
         assert!(r.cells.iter().all(|c| c.qps > 0.0));
-        assert!(r.cells.iter().all(|c| c.shard_rejects.len() == c.n_shards));
         assert!(r
             .cells
             .iter()
@@ -305,18 +287,18 @@ mod tests {
         // sweep still runs but parallel speedup cannot materialize.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         if cores >= 4 {
-            let qps_of = |s: usize, w: usize| {
+            let qps_of = |w: usize, c: usize| {
                 r.cells
                     .iter()
-                    .find(|c| c.n_shards == s && c.n_workers == w)
+                    .find(|cell| cell.n_workers == w && cell.n_clients == c)
                     .expect("cell in grid")
                     .qps
             };
             assert!(
-                qps_of(4, 4) >= 1.5 * qps_of(4, 1),
+                qps_of(4, 8) >= 1.5 * qps_of(1, 8),
                 "4-worker qps {} vs 1-worker {}",
-                qps_of(4, 4),
-                qps_of(4, 1)
+                qps_of(4, 8),
+                qps_of(1, 8)
             );
         }
     }

@@ -148,7 +148,6 @@ fn replay_once(runtime: &ServeRuntime, trace: &[String], phase: &'static str) ->
                                 rejected.fetch_add(1, Relaxed);
                                 std::thread::sleep(retry_after.min(Duration::from_micros(500)));
                             }
-                            Err(ServeError::ShuttingDown) => return,
                         }
                     }
                 }
@@ -241,7 +240,6 @@ fn run_churn(
                             rejected.fetch_add(1, Relaxed);
                             std::thread::sleep(retry_after.min(Duration::from_micros(500)));
                         }
-                        Err(ServeError::ShuttingDown) => return,
                     }
                 }
                 samples.lock().expect("sample lock").extend(local);
@@ -278,11 +276,10 @@ pub fn run(scale: Scale, seed: u64) -> UpdateChurnReport {
         trace.len()
     );
     let serve_config = ServeConfig {
-        n_shards: 4,
         n_workers: 4,
         queue_capacity: 512,
-        batch_size: 8,
         trace_sample_every: 64,
+        ..ServeConfig::default()
     };
 
     // Phase 1: static baseline — same pool geometry, no mutations.

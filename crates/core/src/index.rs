@@ -39,11 +39,10 @@ pub struct MatchHit {
 /// construction and the bounded subset enumeration (Section IV-B), already
 /// hashed and capped by `probe_cap`.
 ///
-/// A plan is the unit of work distribution in sharded serving: the probe
-/// hashes partition across shards by residue (`hash % n_shards`), each shard
-/// executes its slice with [`BroadMatchIndex::execute_probes`], and
-/// [`BroadMatchIndex::finish_query`] gathers the batches into exactly the
-/// hits (and [`QueryStats`]) the single-threaded
+/// Running a plan is split in two: [`BroadMatchIndex::execute_probes`]
+/// probes and scans any subset of its probes into a [`ProbeBatch`], and
+/// [`BroadMatchIndex::finish_query`] gathers one or more batches into
+/// exactly the hits (and [`QueryStats`]) the single-threaded
 /// [`BroadMatchIndex::query_with_stats`] would have produced.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
@@ -414,10 +413,8 @@ impl BroadMatchIndex {
     }
 
     /// Execute the probes at `probe_indices` — positions into
-    /// [`QueryPlan::probe_hashes`] — against this index. A shard owning
-    /// residue `r` of `n` executes
-    /// `plan.probe_hashes().iter().enumerate().filter(|(_, h)| *h % n == r)`;
-    /// the full single-threaded execution is `0..plan.probe_count()`.
+    /// [`QueryPlan::probe_hashes`] — against this index. The full
+    /// execution of a query is `0..plan.probe_count()`.
     pub fn execute_probes(
         &self,
         plan: &QueryPlan,
@@ -959,25 +956,25 @@ mod tests {
         ] {
             let (want_hits, want_stats) = index.query_with_stats(q, mt);
             let plan = index.plan_query(q, mt).expect("known words");
-            for n_shards in [1usize, 2, 3, 5] {
-                // Each shard owns the probes whose hash lands on its residue;
+            for n_parts in [1usize, 2, 3, 5] {
+                // Each part owns the probes whose hash lands on its residue;
                 // gather must reproduce hits AND stats bit-for-bit.
-                let batches: Vec<ProbeBatch> = (0..n_shards as u64)
-                    .map(|shard| {
+                let batches: Vec<ProbeBatch> = (0..n_parts as u64)
+                    .map(|part| {
                         index.execute_probes(
                             &plan,
                             plan.probe_hashes()
                                 .iter()
                                 .enumerate()
-                                .filter(|&(_, h)| h % n_shards as u64 == shard)
+                                .filter(|&(_, h)| h % n_parts as u64 == part)
                                 .map(|(i, _)| i)
                                 .collect::<Vec<_>>(),
                         )
                     })
                     .collect();
                 let (hits, stats) = index.finish_query(&plan, batches);
-                assert_eq!(hits, want_hits, "{q} ({mt:?}) across {n_shards} shards");
-                assert_eq!(stats, want_stats, "{q} ({mt:?}) across {n_shards} shards");
+                assert_eq!(hits, want_hits, "{q} ({mt:?}) across {n_parts} parts");
+                assert_eq!(stats, want_stats, "{q} ({mt:?}) across {n_parts} parts");
             }
         }
     }

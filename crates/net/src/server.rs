@@ -4,7 +4,7 @@
 //! Each accepted connection gets a handler thread that decodes frames,
 //! dispatches them to the embedded runtime, and writes responses. The
 //! design leans entirely on the serve layer for the hard parts:
-//! admission control (a full shard queue surfaces on the wire as an
+//! admission control (a full wait line surfaces on the wire as an
 //! `Overloaded` error frame carrying the runtime's retry-after hint),
 //! snapshot consistency (RCU swap), and poison recovery.
 //!
@@ -17,6 +17,7 @@
 //! mid-read — this is the hook the partition test uses to kill a backend
 //! *mid-query-stream* rather than between requests.
 
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,9 +59,11 @@ struct BackendShared {
     stop: AtomicBool,
     active: AtomicU64,
     config: BackendConfig,
-    // try_clone'd handles of live connections, so shutdown can sever them
-    // mid-read. Slots are compacted opportunistically on disconnect.
-    conns: Mutex<Vec<TcpStream>>,
+    // try_clone'd handles of live connections keyed by connection id, so
+    // shutdown can sever them mid-read. A handler removes its own entry
+    // when its connection ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    next_conn_id: AtomicU64,
 }
 
 /// A running backend server. Dropping it shuts the server down.
@@ -106,7 +109,8 @@ impl Backend {
             stop: AtomicBool::new(false),
             active: AtomicU64::new(0),
             config,
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
+            next_conn_id: AtomicU64::new(0),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
@@ -143,7 +147,7 @@ impl Backend {
         self.shared.stop.store(true, Ordering::SeqCst);
         {
             let mut conns = poison::lock(&self.shared.conns);
-            for conn in conns.drain(..) {
+            for (_, conn) in conns.drain() {
                 let _ = conn.shutdown(Shutdown::Both);
             }
         }
@@ -201,14 +205,17 @@ fn handle_accept(mut stream: TcpStream, shared: &Arc<BackendShared>) {
     // ORDER: SeqCst — symmetric with the budget load above.
     shared.active.fetch_add(1, Ordering::SeqCst);
     shared.metrics.connections_active.add(1.0);
+    // ORDER: Relaxed — only uniqueness matters; the id publishes nothing.
+    let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
     if let Ok(clone) = stream.try_clone() {
-        poison::lock(&shared.conns).push(clone);
+        poison::lock(&shared.conns).insert(conn_id, clone);
     }
     let conn_shared = Arc::clone(shared);
     let spawned = std::thread::Builder::new()
         .name("net-conn".into())
         .spawn(move || {
             connection_loop(&mut stream, &conn_shared);
+            poison::lock(&conn_shared.conns).remove(&conn_id);
             let _ = stream.shutdown(Shutdown::Both);
             // ORDER: SeqCst — symmetric with the budget fetch_add.
             conn_shared.active.fetch_sub(1, Ordering::SeqCst);
@@ -216,6 +223,7 @@ fn handle_accept(mut stream: TcpStream, shared: &Arc<BackendShared>) {
         });
     if spawned.is_err() {
         // Thread spawn failed (resource exhaustion): undo the accounting.
+        poison::lock(&shared.conns).remove(&conn_id);
         // ORDER: SeqCst — symmetric with the budget fetch_add.
         shared.active.fetch_sub(1, Ordering::SeqCst);
         shared.metrics.connections_active.add(-1.0);
@@ -286,11 +294,6 @@ fn dispatch(req: &Request, shared: &Arc<BackendShared>) -> Response {
                 code: ErrorCode::Overloaded,
                 retry_after_micros: retry_after.as_micros() as u64,
                 detail: "admission control".into(),
-            }),
-            Err(ServeError::ShuttingDown) => Response::Error(ErrorReply {
-                code: ErrorCode::ShuttingDown,
-                retry_after_micros: 0,
-                detail: "runtime shutting down".into(),
             }),
         },
         Request::Insert { phrase, info } => match shared.runtime.insert(phrase, *info) {
@@ -372,5 +375,62 @@ pub fn call(stream: &mut TcpStream, req: &Request, request_id: u64) -> Result<Re
         if reply.request_id == request_id {
             return Response::from_frame(&reply);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use broadmatch::{AdInfo, IndexBuilder, MatchType};
+    use broadmatch_serve::ServeConfig;
+    use std::time::Instant;
+
+    fn registered(backend: &Backend) -> usize {
+        poison::lock(&backend.shared.conns).len()
+    }
+
+    fn wait_until_registered(backend: &Backend, want: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while registered(backend) != want {
+            assert!(
+                Instant::now() < deadline,
+                "{} connections still registered, want {want}",
+                registered(backend)
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn closed_connections_leave_the_registry() {
+        let mut builder = IndexBuilder::new();
+        builder
+            .add("cheap used books", AdInfo::with_bid(1, 25))
+            .unwrap();
+        let runtime =
+            ServeRuntime::start(Arc::new(builder.build().unwrap()), ServeConfig::default());
+        let backend = Backend::bind("127.0.0.1:0", Arc::new(runtime), BackendConfig::default())
+            .expect("bind loopback");
+
+        for i in 0..50 {
+            let mut conn = TcpStream::connect(backend.local_addr()).expect("connect");
+            let reply = call(&mut conn, &Request::Health, i).expect("health");
+            assert!(matches!(reply, Response::Health { .. }));
+        }
+        wait_until_registered(&backend, 0);
+
+        // The backend still serves, and tracks the one live connection.
+        let mut conn = TcpStream::connect(backend.local_addr()).expect("connect");
+        let req = Request::Query {
+            text: "cheap used books online".into(),
+            match_type: MatchType::Broad,
+        };
+        let Response::Query(reply) = call(&mut conn, &req, 50).expect("query") else {
+            panic!("expected a query reply");
+        };
+        assert_eq!(reply.hits.len(), 1);
+        assert_eq!(registered(&backend), 1);
+        drop(conn);
+        wait_until_registered(&backend, 0);
     }
 }

@@ -30,11 +30,10 @@ pub fn runtime_over(ads: &[GeneratedAd]) -> Arc<ServeRuntime> {
     }
     let index = Arc::new(builder.build().expect("non-empty partition"));
     let config = ServeConfig {
-        n_shards: 2,
         n_workers: 2,
         queue_capacity: 256,
-        batch_size: 4,
         trace_sample_every: 0,
+        ..ServeConfig::default()
     };
     Arc::new(ServeRuntime::start(index, config))
 }

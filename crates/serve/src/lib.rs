@@ -1,32 +1,31 @@
-//! `broadmatch-serve`: a sharded, lock-free-read serving runtime for the
-//! ICDE 2009 broad-match index.
+//! `broadmatch-serve`: a lock-free-read serving runtime for the ICDE 2009
+//! broad-match index.
 //!
 //! The paper's data structure answers a broad-match query by probing a
 //! hash directory with every subset (up to the locator bound) of the query
-//! word set. This crate turns that single-threaded structure into a
-//! serving system, exploiting two properties:
+//! word set. This crate serves that structure to many concurrent callers,
+//! resting on one property: **the index is immutable between rebuilds.**
+//! Reoptimization (remapping, maintenance compaction) produces a *new*
+//! index, which [`ServeRuntime::publish`] swaps in atomically via an
+//! RCU-style [`ArcSwap`]: readers take **zero locks** on the index, never
+//! block on a publish, and each query sees exactly one consistent
+//! snapshot.
 //!
-//! 1. **Probes partition perfectly.** Subset enumeration happens once per
-//!    query ([`broadmatch::BroadMatchIndex::plan_query`]); each probe hash
-//!    then belongs to exactly one shard (`wordhash % n_shards`), and
-//!    gathered shard results are bit-identical to single-threaded
-//!    execution — hits, order, and statistics ([`ShardedIndex`]).
-//! 2. **The index is immutable between rebuilds.** Reoptimization
-//!    (remapping, maintenance compaction) produces a *new* index, which
-//!    [`ServeRuntime::publish`] swaps in atomically via an RCU-style
-//!    [`ArcSwap`]: readers take **zero locks**, never block on a publish,
-//!    and each query sees exactly one consistent snapshot.
-//!
-//! On top sit a worker pool with per-shard bounded MPMC queues
-//! ([`BoundedQueue`]), request batching, admission control that rejects
-//! with a retry-after hint instead of queueing unboundedly, and a full
-//! `broadmatch-telemetry` registry: per-shard latency histograms
-//! ([`LatencyHistogram`], re-exported from the telemetry crate) in the
-//! same 5 ms buckets the `broadmatch-netsim` simulator reports — so
-//! measured service times feed straight back into the paper's
-//! network-capacity model (Fig. 9) — plus probe/scan counters, queue
-//! depth and snapshot-age gauges, a sampling span tracer, and Prometheus
-//! text exposition via [`ServeRuntime::prometheus`].
+//! Each query runs whole on the thread that submitted it, as on the
+//! paper's index server (§VII-B): plan, execute, finish, then merge the
+//! delta overlay of online updates ([`UpdateConfig`]). Results are
+//! bit-identical to single-threaded execution — hits, order and
+//! statistics. In front sits one admission gate: at most `n_workers`
+//! queries execute at once, at most `queue_capacity` more wait, and past
+//! that a caller is refused with a retry-after hint instead of queueing
+//! unboundedly. A full `broadmatch-telemetry` registry records end-to-end
+//! and execution latency histograms ([`LatencyHistogram`], re-exported
+//! from the telemetry crate) in the same 5 ms buckets the
+//! `broadmatch-netsim` simulator reports — so measured service times feed
+//! straight back into the paper's network-capacity model (Fig. 9) — plus
+//! probe/scan counters, wait-line depth and snapshot-age gauges, a
+//! sampling span tracer, and Prometheus text exposition via
+//! [`ServeRuntime::prometheus`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -50,16 +49,12 @@
 
 pub mod arcswap;
 pub mod poison;
-pub mod queue;
 pub mod runtime;
-pub mod shard;
 pub mod update;
 
 pub use arcswap::ArcSwap;
 // The latency histogram moved to `broadmatch-telemetry` so every crate
 // shares one implementation; re-exported here for compatibility.
 pub use broadmatch_telemetry::{LatencyHistogram, DEFAULT_BUCKET_MS};
-pub use queue::{BoundedQueue, PopResult, PushError};
 pub use runtime::{QueryResponse, ServeConfig, ServeError, ServeMetrics, ServeRuntime};
-pub use shard::ShardedIndex;
 pub use update::UpdateConfig;

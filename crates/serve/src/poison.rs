@@ -1,12 +1,12 @@
 //! Poison-recovering lock helpers for the serve hot path.
 //!
 //! The runtime's locks guard state that stays consistent across panics
-//! (queues of owned tasks, an op log, plain timestamps): every critical
+//! (admission counts, an op log, plain timestamps): every critical
 //! section either completes its in-place mutation or leaves the value
 //! usable. So a poisoned lock carries no integrity signal here — it only
 //! says *some* thread panicked while holding the guard — and unwinding
 //! the whole serving process over it (the old `.expect("lock poisoned")`
-//! pattern) turned one worker's panic into total unavailability. The
+//! pattern) turned one query's panic into total unavailability. The
 //! serve hot-path lint rule (`tools/lint`) bans `unwrap`/`expect` in
 //! these modules; these helpers are the sanctioned replacement: recover
 //! the guard and keep serving.

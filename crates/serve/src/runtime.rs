@@ -1,27 +1,30 @@
-//! The serving runtime: a worker pool executing planned probes against the
-//! currently published snapshot.
+//! The serving runtime: each query runs whole on the calling thread
+//! against the currently published snapshot, behind one admission gate.
 //!
-//! A query is planned once on the submitting thread, then its probes
-//! scatter to per-shard bounded queues; pool workers execute each shard's
-//! slice against the snapshot captured at submission (so an index swap
-//! mid-query is invisible — snapshot consistency), and the submitting
-//! thread gathers the batches into final hits. Full queues reject at
-//! admission with a retry-after hint instead of building unbounded backlog.
+//! The paper's index server (§VII-B) answers a query with no parallelism
+//! inside it, and every caller of this runtime blocks on its answer, so a
+//! query is planned, executed, finished and merged with the delta overlay
+//! on the thread that asked. What the runtime adds is bounded admission:
+//! at most `n_workers` queries execute at once, at most `queue_capacity`
+//! more wait for a slot, and past that a caller is refused at once with a
+//! retry-after hint instead of joining an unbounded backlog. An index swap
+//! while a query runs is invisible to it — it keeps the snapshot it loaded
+//! when admitted.
 //!
 //! All counters and histograms live in a `broadmatch-telemetry`
 //! [`Registry`] owned by the runtime: one set of `serve_*` and
 //! `broadmatch_*` metric families instead of parallel hand-rolled stats
 //! structs, rendered to Prometheus text by [`ServeRuntime::prometheus`].
-//! A sampling [`Tracer`] records per-query span traces (plan, scatter,
-//! gather, finish) with probe-level statistics.
+//! A sampling [`Tracer`] records per-query span traces (wait, plan,
+//! execute, finish, overlay) with probe-level statistics.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use broadmatch::{
     probe_trace_stats, AdId, AdInfo, BroadMatchIndex, BuildError, DeltaOverlay, MatchHit,
-    MatchType, OverlayCounters, ProbeBatch, QueryCounters, QueryPlan, QueryStats,
+    MatchType, OverlayCounters, QueryCounters, QueryStats,
 };
 use broadmatch_telemetry::{
     Counter, Gauge, Histogram, LatencyHistogram, Registry, Tracer, DEFAULT_SAMPLE_EVERY,
@@ -29,34 +32,30 @@ use broadmatch_telemetry::{
 
 use crate::arcswap::ArcSwap;
 use crate::poison;
-use crate::queue::{BoundedQueue, PopResult, PushError};
-use crate::shard::ShardedIndex;
 use crate::update::{self, StopSignal, UpdateConfig, UpdateOp, UpdateState};
 
 /// Runtime sizing knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Probe-space partitions (`wordhash % n_shards`).
+    /// No effect; kept only so existing initializers still compile.
+    #[deprecated(note = "no effect; removed when servebench is next redefined")]
     pub n_shards: usize,
-    /// Pool threads. Workers share shard queues (MPMC) when there are more
-    /// workers than shards, and round-robin several shards when there are
-    /// fewer.
+    /// Queries allowed to execute at once.
     pub n_workers: usize,
-    /// Per-shard queue bound; a full queue rejects at admission.
+    /// Callers allowed to wait for an execution slot; one more is refused
+    /// at admission.
     pub queue_capacity: usize,
-    /// Max tasks a worker drains per wakeup (amortizes lock traffic).
-    pub batch_size: usize,
     /// Span-trace one in this many queries (0 disables tracing).
     pub trace_sample_every: u64,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
+        #[allow(deprecated)]
         ServeConfig {
             n_shards: 4,
             n_workers: 4,
             queue_capacity: 1024,
-            batch_size: 8,
             trace_sample_every: DEFAULT_SAMPLE_EVERY,
         }
     }
@@ -76,14 +75,13 @@ pub struct QueryResponse {
 /// Why the runtime refused a query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// Admission control: a shard queue is full. Retry after the hint —
-    /// roughly the time for the backlog ahead of you to drain.
+    /// Admission control: every execution slot is busy and the wait line
+    /// is full. Retry after the hint — roughly the time for the callers
+    /// ahead of you to drain.
     Overloaded {
         /// Suggested backoff before retrying.
         retry_after: Duration,
     },
-    /// The runtime is shutting down.
-    ShuttingDown,
 }
 
 impl std::fmt::Display for ServeError {
@@ -92,7 +90,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Overloaded { retry_after } => {
                 write!(f, "overloaded; retry after {retry_after:?}")
             }
-            ServeError::ShuttingDown => write!(f, "runtime shutting down"),
         }
     }
 }
@@ -109,20 +106,12 @@ pub struct ServeMetrics {
     pub rejected: u64,
     /// Currently published snapshot version.
     pub version: u64,
-    /// End-to-end query latency (plan → gather), netsim bucket geometry.
+    /// End-to-end query latency (arrival → answer, wait included), netsim
+    /// bucket geometry.
     pub query_latency: LatencyHistogram,
-    /// Per-shard probe-execution latency, netsim bucket geometry.
-    pub shard_latency: Vec<LatencyHistogram>,
-    /// Per-shard tasks executed.
-    pub shard_tasks: Vec<u64>,
-    /// Per-shard admission rejects (which shard's full queue refused the
-    /// query) — the previously invisible half of admission control.
-    pub shard_rejects: Vec<u64>,
-    /// Per-shard tasks of rejected queries that were drained without
-    /// execution (the cancelled siblings of a partially scattered query).
-    /// Kept out of `shard_tasks`/`shard_latency` so the service-rate
-    /// estimate behind retry-after hints only averages real work.
-    pub shard_cancelled: Vec<u64>,
+    /// Execution latency (admission → finish, wait excluded): the service
+    /// time behind retry-after hints. Rejected queries record nothing.
+    pub exec_latency: LatencyHistogram,
     /// Compactions completed (overlay folds into a rebuilt base).
     pub compactions: u64,
     /// Live inserts in the current delta overlay.
@@ -134,12 +123,12 @@ pub struct ServeMetrics {
     pub overlay_dead_bytes: usize,
 }
 
-/// One published snapshot generation: the immutable sharded base plus the
-/// delta overlay of updates applied since that base was built. Readers
-/// consult the overlay after the base, so results match a fresh rebuild.
+/// One published snapshot generation: the immutable base plus the delta
+/// overlay of updates applied since that base was built. Readers consult
+/// the overlay after the base, so results match a fresh rebuild.
 #[derive(Debug)]
 pub(crate) struct Generation {
-    pub(crate) sharded: ShardedIndex,
+    pub(crate) index: Arc<BroadMatchIndex>,
     pub(crate) overlay: Arc<DeltaOverlay>,
     pub(crate) version: u64,
     /// Bumped whenever the *base* index changes (publish or compaction);
@@ -148,73 +137,50 @@ pub(crate) struct Generation {
     pub(crate) base_epoch: u64,
 }
 
-/// Scatter/gather rendezvous for one query.
-struct Gather {
-    slots: Mutex<GatherSlots>,
-    done: Condvar,
-    cancelled: AtomicBool,
+/// Admission control: at most `n_workers` queries run at once and at most
+/// `queue_capacity` callers wait for a slot; anyone past that is refused.
+/// Modeled in `tests/conccheck_models.rs` (admission gate).
+struct Gate {
+    /// `(running, waiting)` callers.
+    state: Mutex<(usize, usize)>,
+    freed: Condvar,
+    n_workers: usize,
+    queue_capacity: usize,
 }
 
-struct GatherSlots {
-    batches: Vec<Option<ProbeBatch>>,
-    remaining: usize,
-}
+/// An execution slot; dropping it frees the slot and wakes one waiter.
+struct Slot<'a>(&'a Gate);
 
-impl Gather {
-    fn new(n_shards: usize, dispatched: usize) -> Self {
-        Gather {
-            slots: Mutex::new(GatherSlots {
-                batches: (0..n_shards).map(|_| None).collect(),
-                remaining: dispatched,
-            }),
-            done: Condvar::new(),
-            cancelled: AtomicBool::new(false),
+impl Gate {
+    /// Take a slot, waiting for one while the wait line has room. On
+    /// refusal returns how many callers were already waiting.
+    fn admit(&self) -> Result<Slot<'_>, usize> {
+        let mut st = poison::lock(&self.state);
+        if st.0 >= self.n_workers {
+            if st.1 >= self.queue_capacity {
+                return Err(st.1);
+            }
+            st.1 += 1;
+            while st.0 >= self.n_workers {
+                st = poison::wait(&self.freed, st);
+            }
+            st.1 -= 1;
         }
+        st.0 += 1;
+        Ok(Slot(self))
     }
 
-    fn complete(&self, shard: usize, batch: ProbeBatch) {
-        let mut slots = poison::lock(&self.slots);
-        slots.batches[shard] = Some(batch);
-        slots.remaining -= 1;
-        if slots.remaining == 0 {
-            drop(slots);
-            self.done.notify_all();
-        }
-    }
-
-    /// Mark the query abandoned (admission failure mid-scatter): workers
-    /// skip execution for already-enqueued siblings.
-    fn cancel(&self) {
-        // ORDER: SeqCst — the flag races scatter-side enqueues; the strict
-        // order is cheap (cancellation is the cold path) and keeps the
-        // cancel/complete reasoning one total order, as in arcswap.rs.
-        self.cancelled.store(true, SeqCst);
-    }
-
-    fn is_cancelled(&self) -> bool {
-        // ORDER: SeqCst — pairs with cancel(); see above.
-        self.cancelled.load(SeqCst)
-    }
-
-    /// Block until every dispatched shard has reported, then hand back the
-    /// batches in shard order (deterministic gather).
-    fn wait(&self) -> Vec<ProbeBatch> {
-        let mut slots = poison::lock(&self.slots);
-        while slots.remaining > 0 {
-            slots = poison::wait(&self.done, slots);
-        }
-        slots.batches.iter_mut().filter_map(Option::take).collect()
+    /// Callers currently waiting for a slot.
+    fn waiting(&self) -> usize {
+        poison::lock(&self.state).1
     }
 }
 
-/// A unit of shard work: execute `probe_indices` of `plan` against the
-/// snapshot captured at submission.
-struct ShardTask {
-    snapshot: Arc<Generation>,
-    plan: Arc<QueryPlan>,
-    shard: usize,
-    probe_indices: Vec<usize>,
-    gather: Arc<Gather>,
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        poison::lock(&self.0.state).0 -= 1;
+        self.0.freed.notify_one();
+    }
 }
 
 /// Pre-registered handles into the runtime's registry: the hot path pays
@@ -223,54 +189,17 @@ pub(crate) struct Handles {
     accepted: Arc<Counter>,
     rejected: Arc<Counter>,
     query_latency: Arc<Histogram>,
+    exec_latency: Arc<Histogram>,
+    queue_depth: Arc<Gauge>,
     publish_ms: Arc<Histogram>,
     pub(crate) snapshot_version: Arc<Gauge>,
     snapshot_age_seconds: Arc<Gauge>,
-    shard_tasks: Vec<Arc<Counter>>,
-    shard_rejects: Vec<Arc<Counter>>,
-    shard_cancelled: Vec<Arc<Counter>>,
-    shard_latency: Vec<Arc<Histogram>>,
-    shard_queue_depth: Vec<Arc<Gauge>>,
     query_counters: QueryCounters,
     pub(crate) overlay: OverlayCounters,
 }
 
 impl Handles {
-    fn register(registry: &Registry, n_shards: usize) -> Self {
-        let mut shard_tasks = Vec::with_capacity(n_shards);
-        let mut shard_rejects = Vec::with_capacity(n_shards);
-        let mut shard_cancelled = Vec::with_capacity(n_shards);
-        let mut shard_latency = Vec::with_capacity(n_shards);
-        let mut shard_queue_depth = Vec::with_capacity(n_shards);
-        for shard in 0..n_shards {
-            let label = shard.to_string();
-            let labels = [("shard", label.as_str())];
-            shard_tasks.push(registry.counter(
-                "serve_shard_tasks_total",
-                "Shard tasks executed by pool workers",
-                &labels,
-            ));
-            shard_rejects.push(registry.counter(
-                "serve_shard_rejects_total",
-                "Queries refused because this shard's queue was full",
-                &labels,
-            ));
-            shard_cancelled.push(registry.counter(
-                "serve_shard_cancelled_total",
-                "Tasks of rejected queries drained without execution",
-                &labels,
-            ));
-            shard_latency.push(registry.histogram(
-                "serve_shard_latency_ms",
-                "Per-shard probe-execution latency",
-                &labels,
-            ));
-            shard_queue_depth.push(registry.gauge(
-                "serve_shard_queue_depth",
-                "Tasks currently waiting in this shard's queue",
-                &labels,
-            ));
-        }
+    fn register(registry: &Registry) -> Self {
         Handles {
             accepted: registry.counter(
                 "serve_queries_accepted_total",
@@ -284,12 +213,22 @@ impl Handles {
             ),
             query_latency: registry.histogram(
                 "serve_query_latency_ms",
-                "End-to-end query latency (plan to gather)",
+                "End-to-end query latency (arrival to answer)",
+                &[],
+            ),
+            exec_latency: registry.histogram(
+                "serve_exec_latency_ms",
+                "Query execution latency (admission to finish)",
+                &[],
+            ),
+            queue_depth: registry.gauge(
+                "serve_queue_depth",
+                "Callers waiting for an execution slot",
                 &[],
             ),
             publish_ms: registry.histogram(
                 "serve_publish_duration_ms",
-                "Duration of snapshot publishes (shard + atomic swap)",
+                "Duration of snapshot publishes (atomic swap)",
                 &[],
             ),
             snapshot_version: registry.gauge(
@@ -302,22 +241,17 @@ impl Handles {
                 "Seconds since the current snapshot was published",
                 &[],
             ),
-            shard_tasks,
-            shard_rejects,
-            shard_cancelled,
-            shard_latency,
-            shard_queue_depth,
             query_counters: QueryCounters::register(registry),
             overlay: OverlayCounters::register(registry),
         }
     }
 }
 
-/// Shared state between the runtime handle, its workers, and the
-/// background compaction worker.
+/// Shared state between the runtime handle and the background compaction
+/// worker.
 pub(crate) struct Inner {
     pub(crate) snapshot: ArcSwap<Generation>,
-    queues: Vec<BoundedQueue<ShardTask>>,
+    gate: Gate,
     registry: Arc<Registry>,
     tracer: Arc<Tracer>,
     pub(crate) handles: Handles,
@@ -330,11 +264,11 @@ pub(crate) struct Inner {
 
 /// The serving runtime. Queries are safe to submit from any number of
 /// threads; [`ServeRuntime::publish`] swaps the index underneath them
-/// without blocking reads. Dropping the runtime drains and joins the pool.
+/// without blocking reads. Dropping the runtime stops and joins the
+/// compaction worker, the only thread it owns.
 pub struct ServeRuntime {
     inner: Arc<Inner>,
     config: ServeConfig,
-    workers: Vec<std::thread::JoinHandle<()>>,
     update_config: Option<UpdateConfig>,
     compactor: Option<std::thread::JoinHandle<()>>,
     compactor_stop: Option<Arc<StopSignal>>,
@@ -354,21 +288,23 @@ impl ServeRuntime {
         config: ServeConfig,
         registry: Arc<Registry>,
     ) -> Self {
-        assert!(config.n_shards > 0, "need at least one shard");
         assert!(config.n_workers > 0, "need at least one worker");
-        let handles = Handles::register(&registry, config.n_shards);
+        let handles = Handles::register(&registry);
         handles.snapshot_version.set(1.0);
         let overlay = DeltaOverlay::for_base(&index);
         let inner = Arc::new(Inner {
             snapshot: ArcSwap::new(Arc::new(Generation {
-                sharded: ShardedIndex::new(index, config.n_shards),
+                index,
                 overlay: Arc::new(overlay),
                 version: 1,
                 base_epoch: 1,
             })),
-            queues: (0..config.n_shards)
-                .map(|_| BoundedQueue::new(config.queue_capacity))
-                .collect(),
+            gate: Gate {
+                state: Mutex::new((0, 0)),
+                freed: Condvar::new(),
+                n_workers: config.n_workers,
+                queue_capacity: config.queue_capacity,
+            },
             registry,
             tracer: Arc::new(Tracer::new(
                 config.trace_sample_every,
@@ -382,26 +318,9 @@ impl ServeRuntime {
                 base_epoch: 1,
             }),
         });
-
-        let workers = (0..config.n_workers)
-            .map(|worker_id| {
-                let inner = Arc::clone(&inner);
-                let batch_size = config.batch_size.max(1);
-                let n_shards = config.n_shards;
-                let n_workers = config.n_workers;
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{worker_id}"))
-                    .spawn(move || worker_loop(&inner, worker_id, n_shards, n_workers, batch_size))
-                    // lint: allow(panic) — failing to start the worker pool
-                    // is a fatal startup error, not a serving-time state.
-                    .expect("spawn worker")
-            })
-            .collect();
-
         ServeRuntime {
             inner,
             config,
-            workers,
             update_config: None,
             compactor: None,
             compactor_stop: None,
@@ -426,7 +345,6 @@ impl ServeRuntime {
         let stop = Arc::new(StopSignal::default());
         runtime.compactor = Some(update::spawn_compactor(
             Arc::clone(&runtime.inner),
-            runtime.config.n_shards,
             update.clone(),
             Arc::clone(&stop),
         ));
@@ -451,92 +369,54 @@ impl ServeRuntime {
         &self.inner.tracer
     }
 
-    /// Run a query through the pool: plan once, scatter the probes to their
-    /// owning shards, gather. Returns results bit-identical to running the
-    /// same query single-threaded against the snapshot current at
-    /// submission.
+    /// Run a query on the calling thread once admission grants a slot:
+    /// plan, execute every probe, finish, then merge the delta overlay.
+    /// Returns results bit-identical to running the same query
+    /// single-threaded against the snapshot current at admission.
+    ///
+    /// # Errors
+    /// [`ServeError::Overloaded`] when every slot is busy and the wait
+    /// line is full.
     pub fn query(
         &self,
         query_text: &str,
         match_type: MatchType,
     ) -> Result<QueryResponse, ServeError> {
         let t0 = Instant::now();
+        let h = &self.inner.handles;
         let trace = self.inner.tracer.maybe_trace();
+        let admitted = {
+            let _span = trace.as_ref().map(|t| t.span("wait"));
+            self.inner.gate.admit()
+        };
+        let _slot = match admitted {
+            Ok(slot) => slot,
+            Err(waiting) => {
+                h.rejected.inc();
+                return Err(ServeError::Overloaded {
+                    retry_after: self.retry_after(waiting),
+                });
+            }
+        };
+        let t_exec = Instant::now();
         let snapshot = self.inner.snapshot.load();
+        let index = &snapshot.index;
         let plan = {
             let _span = trace.as_ref().map(|t| t.span("plan"));
-            snapshot.sharded.plan(query_text, match_type)
+            index.plan_query(query_text, match_type)
         };
-        let Some(plan) = plan else {
-            // The base can't match — but the overlay may know words the
-            // base vocabulary has never seen, so still consult it.
-            let mut hits = Vec::new();
-            let mut stats = QueryStats::default();
-            if !snapshot.overlay.is_empty() {
-                stats.overlay_hits = snapshot.overlay.consult(query_text, match_type, &mut hits);
-                stats.hits = hits.len();
-            }
-            self.inner.handles.accepted.inc();
-            self.inner.handles.query_counters.record(&stats);
-            self.inner
-                .handles
-                .query_latency
-                .record(t0.elapsed().as_secs_f64() * 1e3);
-            if let Some(t) = trace {
-                self.inner.tracer.finish(t, probe_trace_stats(&stats));
-            }
-            return Ok(QueryResponse {
-                hits,
-                stats,
-                version: snapshot.version,
-            });
-        };
-        let plan = Arc::new(plan);
-
-        // Route each probe to its owning shard; skip shards with no work.
-        let n_shards = self.config.n_shards;
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-        for (i, &h) in plan.probe_hashes().iter().enumerate() {
-            per_shard[(h % n_shards as u64) as usize].push(i);
-        }
-        let dispatched: Vec<usize> = (0..n_shards)
-            .filter(|&s| !per_shard[s].is_empty())
-            .collect();
-        let gather = Arc::new(Gather::new(n_shards, dispatched.len()));
-
-        {
-            let _span = trace.as_ref().map(|t| t.span("scatter"));
-            for &shard in &dispatched {
-                let task = ShardTask {
-                    snapshot: Arc::clone(&snapshot),
-                    plan: Arc::clone(&plan),
-                    shard,
-                    probe_indices: std::mem::take(&mut per_shard[shard]),
-                    gather: Arc::clone(&gather),
+        // No plan means the base cannot match; the overlay still may, as
+        // it knows words the base vocabulary has never seen.
+        let (mut hits, mut stats) = match plan {
+            Some(plan) => {
+                let batch = {
+                    let _span = trace.as_ref().map(|t| t.span("execute"));
+                    index.execute_probes(&plan, 0..plan.probe_count())
                 };
-                if let Err(err) = self.inner.queues[shard].try_push(task) {
-                    // Already-enqueued siblings will see the cancel flag and
-                    // complete trivially; nobody waits on this gather.
-                    gather.cancel();
-                    self.inner.handles.rejected.inc();
-                    self.inner.handles.shard_rejects[shard].inc();
-                    return Err(match err {
-                        PushError::Full(_) => ServeError::Overloaded {
-                            retry_after: self.retry_after(shard),
-                        },
-                        PushError::Closed(_) => ServeError::ShuttingDown,
-                    });
-                }
+                let _span = trace.as_ref().map(|t| t.span("finish"));
+                index.finish_query(&plan, [batch])
             }
-        }
-
-        let batches = {
-            let _span = trace.as_ref().map(|t| t.span("gather"));
-            gather.wait()
-        };
-        let (mut hits, mut stats) = {
-            let _span = trace.as_ref().map(|t| t.span("finish"));
-            snapshot.sharded.finish(&plan, batches)
+            None => (Vec::new(), QueryStats::default()),
         };
         if !snapshot.overlay.is_empty() {
             let _span = trace.as_ref().map(|t| t.span("overlay"));
@@ -544,12 +424,10 @@ impl ServeRuntime {
             stats.overlay_hits = snapshot.overlay.consult(query_text, match_type, &mut hits);
             stats.hits = hits.len();
         }
-        self.inner.handles.accepted.inc();
-        self.inner.handles.query_counters.record(&stats);
-        self.inner
-            .handles
-            .query_latency
-            .record(t0.elapsed().as_secs_f64() * 1e3);
+        h.exec_latency.record(t_exec.elapsed().as_secs_f64() * 1e3);
+        h.accepted.inc();
+        h.query_counters.record(&stats);
+        h.query_latency.record(t0.elapsed().as_secs_f64() * 1e3);
         if let Some(t) = trace {
             self.inner.tracer.finish(t, probe_trace_stats(&stats));
         }
@@ -577,7 +455,7 @@ impl ServeRuntime {
         // configuration (serve/tests/conccheck_models.rs, republish model).
         let version = self.inner.version.fetch_add(1, SeqCst) + 1;
         self.inner.snapshot.store(Arc::new(Generation {
-            sharded: ShardedIndex::new(index, self.config.n_shards),
+            index,
             overlay: Arc::new(overlay),
             version,
             base_epoch: st.base_epoch,
@@ -621,7 +499,7 @@ impl ServeRuntime {
         let mut st = poison::lock(&self.inner.update);
         let snapshot = self.inner.snapshot.load();
         let mut overlay = (*snapshot.overlay).clone();
-        let removed = overlay.remove(snapshot.sharded.index(), phrase, listing_id);
+        let removed = overlay.remove(&snapshot.index, phrase, listing_id);
         if removed == 0 {
             return 0; // nothing changed; skip the republish and the log
         }
@@ -641,7 +519,7 @@ impl ServeRuntime {
         let version = self.inner.version.fetch_add(1, SeqCst) + 1;
         self.inner.handles.overlay.set_overlay_state(&overlay);
         self.inner.snapshot.store(Arc::new(Generation {
-            sharded: base.sharded.clone(),
+            index: Arc::clone(&base.index),
             overlay: Arc::new(overlay),
             version,
             base_epoch: base.base_epoch,
@@ -662,7 +540,6 @@ impl ServeRuntime {
     pub fn compact_now(&self) -> Result<Option<u64>, BuildError> {
         update::compact(
             &self.inner,
-            self.config.n_shards,
             self.update_config.as_ref().and_then(|c| c.workload.clone()),
         )
     }
@@ -670,7 +547,7 @@ impl ServeRuntime {
     /// The currently published snapshot and its version.
     pub fn current(&self) -> (Arc<BroadMatchIndex>, u64) {
         let snapshot = self.inner.snapshot.load();
-        (Arc::clone(snapshot.sharded.index()), snapshot.version)
+        (Arc::clone(&snapshot.index), snapshot.version)
     }
 
     /// The base epoch of the currently published snapshot. Bumped whenever
@@ -692,10 +569,7 @@ impl ServeRuntime {
             // ORDER: SeqCst — reads the publish-point counter; see publish().
             version: self.inner.version.load(SeqCst),
             query_latency: h.query_latency.snapshot(),
-            shard_latency: h.shard_latency.iter().map(|s| s.snapshot()).collect(),
-            shard_tasks: h.shard_tasks.iter().map(|c| c.get()).collect(),
-            shard_rejects: h.shard_rejects.iter().map(|c| c.get()).collect(),
-            shard_cancelled: h.shard_cancelled.iter().map(|c| c.get()).collect(),
+            exec_latency: h.exec_latency.snapshot(),
             compactions: h.overlay.compactions.get(),
             overlay_ads: snapshot.overlay.ads(),
             overlay_tombstones: snapshot.overlay.tombstone_count(),
@@ -704,13 +578,11 @@ impl ServeRuntime {
     }
 
     /// Render every metric in Prometheus text exposition format, after
-    /// refreshing the point-in-time gauges (shard queue depths, snapshot
+    /// refreshing the point-in-time gauges (wait-line depth, snapshot
     /// age).
     pub fn prometheus(&self) -> String {
         let h = &self.inner.handles;
-        for (shard, gauge) in h.shard_queue_depth.iter().enumerate() {
-            gauge.set(self.inner.queues[shard].len() as f64);
-        }
+        h.queue_depth.set(self.inner.gate.waiting() as f64);
         let age = poison::lock(&self.inner.published_at).elapsed();
         h.snapshot_age_seconds.set(age.as_secs_f64());
         h.overlay
@@ -718,21 +590,20 @@ impl ServeRuntime {
         self.inner.registry.render_prometheus()
     }
 
-    /// Backoff hint for a rejected query: roughly the time for `shard`'s
-    /// current backlog to drain at the recently observed service rate.
-    fn retry_after(&self, shard: usize) -> Duration {
-        let depth = self.inner.queues[shard].len() as f64;
-        let mean_ms = self.inner.handles.shard_latency[shard].snapshot().mean_ms();
-        // Unmeasured queues still get a non-zero hint.
-        let per_task_ms = if mean_ms > 0.0 { mean_ms } else { 0.05 };
-        Duration::from_micros(((depth + 1.0) * per_task_ms * 1e3) as u64)
+    /// Backoff hint for a query refused while `waiting` callers queue:
+    /// roughly the time for them and this caller to drain through
+    /// `n_workers` slots at the observed mean execution time.
+    fn retry_after(&self, waiting: usize) -> Duration {
+        let mean_ms = self.inner.handles.exec_latency.snapshot().mean_ms();
+        // Before any query is measured the hint still must not be zero.
+        let per_query_ms = if mean_ms > 0.0 { mean_ms } else { 0.05 };
+        let ms = (waiting + 1) as f64 * per_query_ms / self.config.n_workers as f64;
+        Duration::from_secs_f64(ms / 1e3)
     }
 }
 
 impl Drop for ServeRuntime {
     fn drop(&mut self) {
-        // Stop the compactor first: it may be mid-fold, about to republish
-        // through the snapshot the workers still serve from.
         if let Some(stop) = self.compactor_stop.take() {
             let (lock, cv) = &*stop;
             *poison::lock(lock) = true;
@@ -741,12 +612,6 @@ impl Drop for ServeRuntime {
         if let Some(compactor) = self.compactor.take() {
             let _ = compactor.join();
         }
-        for queue in &self.inner.queues {
-            queue.close();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
     }
 }
 
@@ -754,77 +619,8 @@ impl std::fmt::Debug for ServeRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeRuntime")
             .field("config", &self.config)
-            .field("workers", &self.workers.len())
             .finish()
     }
-}
-
-/// Worker thread body. Each worker owns the shards congruent to its id
-/// modulo the pool size; a worker with a single shard blocks on that
-/// queue, one with several polls them round-robin with a short timeout.
-/// With more workers than shards, the extra workers join the queue of
-/// shard `worker_id % n_shards` (the queues are MPMC).
-fn worker_loop(
-    inner: &Inner,
-    worker_id: usize,
-    n_shards: usize,
-    n_workers: usize,
-    batch_size: usize,
-) {
-    let mut my_shards: Vec<usize> = (0..n_shards)
-        .filter(|s| s % n_workers == worker_id)
-        .collect();
-    if my_shards.is_empty() {
-        my_shards.push(worker_id % n_shards);
-    }
-    let timeout = if my_shards.len() == 1 {
-        None // sole queue: block until work or close
-    } else {
-        Some(Duration::from_micros(200))
-    };
-
-    let mut closed = vec![false; my_shards.len()];
-    while !closed.iter().all(|&c| c) {
-        for (k, &shard) in my_shards.iter().enumerate() {
-            if closed[k] {
-                continue;
-            }
-            match inner.queues[shard].pop_batch(batch_size, timeout) {
-                PopResult::Items(tasks) => {
-                    for task in tasks {
-                        run_task(inner, task);
-                    }
-                }
-                PopResult::TimedOut => {}
-                PopResult::Closed => closed[k] = true,
-            }
-        }
-    }
-}
-
-fn run_task(inner: &Inner, task: ShardTask) {
-    if task.gather.is_cancelled() {
-        // A cancelled sibling of a rejected query: complete the rendezvous
-        // (nobody waits, but the slot accounting must balance) WITHOUT
-        // touching the task counter or the latency histogram. Recording
-        // these ~0 ms non-executions used to drag the mean shard service
-        // time toward zero under multi-connection bursts — exactly when
-        // admission control fires — so the retry-after hints derived from
-        // that mean collapsed and rejected clients hammered straight back.
-        inner.handles.shard_cancelled[task.shard].inc();
-        task.gather.complete(task.shard, ProbeBatch::default());
-        return;
-    }
-    let t0 = Instant::now();
-    let batch = task
-        .snapshot
-        .sharded
-        .index()
-        .execute_probes(&task.plan, task.probe_indices.iter().copied());
-    let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-    inner.handles.shard_latency[task.shard].record(elapsed_ms);
-    inner.handles.shard_tasks[task.shard].inc();
-    task.gather.complete(task.shard, batch);
 }
 
 #[cfg(test)]
@@ -844,28 +640,37 @@ mod tests {
     #[test]
     fn pool_results_match_single_threaded() {
         let index = sample();
-        for (shards, workers) in [(1, 1), (2, 1), (4, 2), (3, 6)] {
+        let queries = [
+            ("cheap used books online", MatchType::Broad),
+            ("used books", MatchType::Exact),
+            ("buy used books now", MatchType::Phrase),
+            ("talk talk talk", MatchType::Phrase),
+            ("zzz unknown", MatchType::Broad),
+        ];
+        for workers in [1, 2, 4] {
             let runtime = ServeRuntime::start(
                 index.clone(),
                 ServeConfig {
-                    n_shards: shards,
                     n_workers: workers,
                     ..ServeConfig::default()
                 },
             );
-            for (q, mt) in [
-                ("cheap used books online", MatchType::Broad),
-                ("used books", MatchType::Exact),
-                ("buy used books now", MatchType::Phrase),
-                ("talk talk talk", MatchType::Phrase),
-                ("zzz unknown", MatchType::Broad),
-            ] {
-                let (want_hits, want_stats) = index.query_with_stats(q, mt);
-                let resp = runtime.query(q, mt).expect("admitted");
-                assert_eq!(resp.hits, want_hits, "{q} on {shards}x{workers}");
-                assert_eq!(resp.stats, want_stats, "{q} on {shards}x{workers}");
-                assert_eq!(resp.version, 1);
-            }
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    let (runtime, index) = (&runtime, &index);
+                    s.spawn(move || {
+                        for _ in 0..25 {
+                            for (q, mt) in queries {
+                                let (want_hits, want_stats) = index.query_with_stats(q, mt);
+                                let resp = runtime.query(q, mt).expect("admitted");
+                                assert_eq!(resp.hits, want_hits, "{q} on {workers} workers");
+                                assert_eq!(resp.stats, want_stats, "{q} on {workers} workers");
+                                assert_eq!(resp.version, 1);
+                            }
+                        }
+                    });
+                }
+            });
         }
     }
 
@@ -895,21 +700,17 @@ mod tests {
 
     #[test]
     fn admission_control_rejects_when_saturated() {
-        // A runtime whose single worker is starved by a tiny queue: fill it
-        // beyond capacity from this thread without waiting, and at least
-        // one push must be refused with a retry hint.
+        // One execution slot and room for one waiter, hammered by eight
+        // concurrent submitters: every attempt is either answered
+        // correctly or refused with a non-zero retry hint.
         let runtime = ServeRuntime::start(
             sample(),
             ServeConfig {
-                n_shards: 1,
                 n_workers: 1,
                 queue_capacity: 1,
-                batch_size: 1,
                 ..ServeConfig::default()
             },
         );
-        // Single-threaded submission can't overrun a live worker reliably,
-        // so drive the queue directly through many concurrent submitters.
         let rejected = AtomicU64::new(0);
         std::thread::scope(|s| {
             for _ in 0..8 {
@@ -923,7 +724,6 @@ mod tests {
                                 assert!(retry_after > Duration::ZERO);
                                 rejected.fetch_add(1, SeqCst);
                             }
-                            Err(e) => panic!("{e}"),
                         }
                     }
                 });
@@ -932,77 +732,78 @@ mod tests {
         let metrics = runtime.metrics();
         assert_eq!(metrics.rejected, rejected.load(SeqCst));
         assert!(metrics.accepted + metrics.rejected == 1600);
-        // Per-shard reject attribution sums to the total (satellite fix:
-        // rejects used to be invisible beyond the retry-after hint).
-        let per_shard: u64 = metrics.shard_rejects.iter().sum();
-        assert_eq!(per_shard, metrics.rejected);
     }
 
     #[test]
-    fn cancelled_tasks_stay_out_of_service_accounting() {
-        // A cancelled sibling of a rejected query must be drained (slot
-        // freed, rendezvous completed) but must NOT count as executed
-        // work: the shard latency histogram and task counter only see real
-        // executions, so the mean service time feeding retry-after hints
-        // is not dragged toward zero by ~0 ms no-ops exactly when
-        // admission control is firing. Drive the worker body directly so
-        // the cancelled/executed split is deterministic.
+    fn gate_waits_for_a_slot_then_refuses_past_capacity() {
         let runtime = ServeRuntime::start(
             sample(),
             ServeConfig {
-                n_shards: 2,
                 n_workers: 1,
+                queue_capacity: 1,
                 ..ServeConfig::default()
             },
         );
-        let snapshot = runtime.inner.snapshot.load();
-        let plan = Arc::new(
-            snapshot
-                .sharded
-                .plan("cheap used books online", MatchType::Broad)
-                .expect("plannable query"),
-        );
-
-        // One cancelled task on shard 0 (nobody waits on its gather)...
-        let cancelled_gather = Arc::new(Gather::new(2, 1));
-        cancelled_gather.cancel();
-        run_task(
-            &runtime.inner,
-            ShardTask {
-                snapshot: Arc::clone(&snapshot),
-                plan: Arc::clone(&plan),
-                shard: 0,
-                probe_indices: vec![0],
-                gather: Arc::clone(&cancelled_gather),
-            },
-        );
-        // ...and one live task on shard 1.
-        let live_gather = Arc::new(Gather::new(2, 1));
-        run_task(
-            &runtime.inner,
-            ShardTask {
-                snapshot: Arc::clone(&snapshot),
-                plan,
-                shard: 1,
-                probe_indices: vec![0],
-                gather: live_gather,
-            },
-        );
-
+        let held = runtime.inner.gate.admit().expect("free slot");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| runtime.query("cheap used books online", MatchType::Broad));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while runtime.inner.gate.waiting() == 0 {
+                assert!(Instant::now() < deadline, "caller never queued");
+                std::thread::yield_now();
+            }
+            assert!(runtime.prometheus().contains("serve_queue_depth 1\n"));
+            // The wait line is full: the next caller is refused at once,
+            // with a hint covering itself and the one caller ahead.
+            let Err(ServeError::Overloaded { retry_after }) =
+                runtime.query("books", MatchType::Broad)
+            else {
+                panic!("admitted past a full wait line");
+            };
+            assert_eq!(retry_after, Duration::from_micros(100));
+            drop(held);
+            let resp = waiter
+                .join()
+                .unwrap()
+                .expect("admitted once the slot freed");
+            assert_eq!(resp.hits.len(), 3);
+        });
         let m = runtime.metrics();
-        assert_eq!(m.shard_cancelled, vec![1, 0]);
-        assert_eq!(m.shard_tasks, vec![0, 1], "cancelled drain is not a task");
-        assert_eq!(
-            m.shard_latency[0].total(),
-            0,
-            "no service-time sample for the no-op"
+        assert_eq!((m.accepted, m.rejected), (1, 1));
+        assert_eq!(runtime.inner.gate.waiting(), 0);
+    }
+
+    #[test]
+    fn rejected_query_records_no_exec_latency() {
+        // A refused query did no work: it must not add a ~0 ms sample to
+        // the execution histogram whose mean prices the retry-after hints,
+        // or the hints would collapse exactly when admission fires.
+        let runtime = ServeRuntime::start(
+            sample(),
+            ServeConfig {
+                n_workers: 1,
+                queue_capacity: 0,
+                ..ServeConfig::default()
+            },
         );
-        assert_eq!(m.shard_latency[1].total(), 1);
-        // The rendezvous still completed for the cancelled slot.
-        assert!(cancelled_gather.is_cancelled());
-        assert_eq!(poison::lock(&cancelled_gather.slots).remaining, 0);
-        let text = runtime.prometheus();
-        assert!(text.contains("serve_shard_cancelled_total{shard=\"0\"} 1"));
+        let held = runtime.inner.gate.admit().expect("free slot");
+        assert!(runtime
+            .query("cheap used books online", MatchType::Broad)
+            .is_err());
+        let m = runtime.metrics();
+        assert_eq!((m.accepted, m.rejected), (0, 1));
+        assert_eq!(m.exec_latency.total(), 0, "no service-time sample");
+        assert_eq!(m.query_latency.total(), 0);
+
+        drop(held);
+        runtime
+            .query("cheap used books online", MatchType::Broad)
+            .expect("slot free again");
+        let m = runtime.metrics();
+        assert_eq!(m.exec_latency.total(), 1);
+        assert!(runtime
+            .prometheus()
+            .contains("serve_queries_rejected_total 1\n"));
     }
 
     #[test]
@@ -1010,7 +811,6 @@ mod tests {
         let runtime = ServeRuntime::start(
             sample(),
             ServeConfig {
-                n_shards: 2,
                 n_workers: 2,
                 ..ServeConfig::default()
             },
@@ -1024,12 +824,8 @@ mod tests {
         assert_eq!(m.accepted, 50);
         assert_eq!(m.version, 1);
         assert_eq!(m.query_latency.total(), 50);
-        assert_eq!(m.shard_latency.len(), 2);
-        // Every dispatched shard task was measured.
-        let measured: u64 = m.shard_latency.iter().map(|h| h.total()).sum();
-        let tasks: u64 = m.shard_tasks.iter().sum();
-        assert_eq!(measured, tasks);
-        assert!(tasks >= 50, "each query dispatches at least one shard task");
+        // Every admitted query was measured.
+        assert_eq!(m.exec_latency.total(), m.accepted);
     }
 
     #[test]
@@ -1037,7 +833,6 @@ mod tests {
         let runtime = ServeRuntime::start(
             sample(),
             ServeConfig {
-                n_shards: 2,
                 n_workers: 2,
                 trace_sample_every: 4,
                 ..ServeConfig::default()
@@ -1055,8 +850,8 @@ mod tests {
             "broadmatch_scan_bytes_total",
             "broadmatch_remap_hits_total",
             "serve_queries_accepted_total 20",
-            "serve_shard_queue_depth{shard=\"0\"}",
-            "serve_shard_tasks_total{shard=\"1\"}",
+            "serve_queue_depth 0",
+            "serve_exec_latency_ms_count 20",
             "serve_snapshot_version 1",
             "serve_snapshot_age_seconds",
             "serve_query_latency_ms_count 20",
@@ -1231,7 +1026,7 @@ mod tests {
         assert_eq!(traces.len(), 5, "1-in-2 sampling over 10 queries");
         let t = traces.last().expect("nonempty");
         let names: Vec<&str> = t.spans.iter().map(|s| s.name).collect();
-        for required in ["plan", "scatter", "gather", "finish"] {
+        for required in ["wait", "plan", "execute", "finish"] {
             assert!(names.contains(&required), "missing span {required}");
         }
         assert!(t.probe.probes > 0);

@@ -25,7 +25,6 @@ use broadmatch::{AdInfo, BuildError, DeltaOverlay};
 
 use crate::poison;
 use crate::runtime::{Generation, Inner};
-use crate::shard::ShardedIndex;
 
 /// Thresholds and cadence of the background compaction worker.
 #[derive(Debug, Clone)]
@@ -87,7 +86,6 @@ pub(crate) struct UpdateState {
 /// Propagates rebuild failures; the overlay is left untouched.
 pub(crate) fn compact(
     inner: &Inner,
-    n_shards: usize,
     workload: Option<Vec<(String, u64)>>,
 ) -> Result<Option<u64>, BuildError> {
     loop {
@@ -99,11 +97,7 @@ pub(crate) fn compact(
         if base_gen.overlay.is_empty() {
             return Ok(None);
         }
-        let folded = Arc::new(
-            base_gen
-                .overlay
-                .fold(base_gen.sharded.index(), workload.clone())?,
-        );
+        let folded = Arc::new(base_gen.overlay.fold(&base_gen.index, workload.clone())?);
         let folded_ads = folded.stats().ads;
 
         let mut st = poison::lock(&inner.update);
@@ -111,7 +105,6 @@ pub(crate) fn compact(
         if current.base_epoch != base_gen.base_epoch {
             continue; // base swapped under the fold: re-cut and try again
         }
-        let sharded = ShardedIndex::new(Arc::clone(&folded), n_shards);
         let mut overlay = DeltaOverlay::for_base(&folded);
         for op in &st.log[cut..] {
             match op {
@@ -132,7 +125,7 @@ pub(crate) fn compact(
         let version = inner.version.fetch_add(1, SeqCst) + 1;
         inner.handles.overlay.set_overlay_state(&overlay);
         inner.snapshot.store(Arc::new(Generation {
-            sharded,
+            index: folded,
             overlay: Arc::new(overlay),
             version,
             base_epoch: st.base_epoch,
@@ -156,7 +149,6 @@ pub(crate) type StopSignal = (Mutex<bool>, Condvar);
 /// notify) and join it to shut down.
 pub(crate) fn spawn_compactor(
     inner: Arc<Inner>,
-    n_shards: usize,
     cfg: UpdateConfig,
     stop: Arc<StopSignal>,
 ) -> std::thread::JoinHandle<()> {
@@ -179,7 +171,7 @@ pub(crate) fn spawn_compactor(
                     // A failure here would equally fail a foreground
                     // reoptimize; keep serving from the overlay and retry
                     // on the next tick.
-                    let _ = compact(&inner, n_shards, cfg.workload.clone());
+                    let _ = compact(&inner, cfg.workload.clone());
                 }
                 stopped = poison::lock(lock);
             }

@@ -1,4 +1,4 @@
-//! Model-checked ports of this crate's three riskiest concurrency
+//! Model-checked ports of this crate's four riskiest concurrency
 //! protocols, driven by `conccheck` (see DESIGN.md §"Correctness
 //! tooling").
 //!
@@ -22,6 +22,13 @@
 //!    a base swap via the epoch and retry, replaying the log suffix.
 //!    Skipping the replay loses racing inserts; skipping the epoch check
 //!    lets a stale fold clobber a concurrent publish.
+//! 4. **Admission gate** (`runtime.rs::Gate`): callers take one of
+//!    `n_workers` slots, wait while the wait line has room, and are
+//!    refused past it; releasing a slot wakes one waiter. Running must
+//!    never exceed `n_workers` and every admitted caller must finish.
+//!    Releasing without `notify_one` strands a waiter (deadlock); waking
+//!    without re-checking the slot count lets a barging caller and the
+//!    woken waiter both run.
 //!
 //! In normal builds the facade is `std`, so every *correct* model here
 //! still runs as a plain stress test; the weakened variants only execute
@@ -33,7 +40,7 @@
 //! ```
 
 use conccheck::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use conccheck::sync::{Arc, Mutex};
+use conccheck::sync::{Arc, Condvar, Mutex};
 use conccheck::{thread, Opts};
 
 /// The cell orderings under test. The shipped code uses `SeqCst` for all
@@ -431,6 +438,138 @@ fn base_epoch_without_check_fails_under_checker() {
     if conccheck::enabled() {
         let bug = bug.expect("skipping the epoch check must clobber a publish");
         assert!(bug.message.contains("clobbered"), "{bug}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Model 4: the admission gate (runtime.rs::Gate).
+// ---------------------------------------------------------------------------
+
+/// The gate verbatim: `(running, waiting)` under one mutex, a condvar for
+/// freed slots. `notify` and `recheck` toggle the two load-bearing steps.
+struct GateModel {
+    state: Mutex<(usize, usize)>,
+    freed: Condvar,
+    n_workers: usize,
+    queue_capacity: usize,
+    notify: bool,
+    recheck: bool,
+}
+
+impl GateModel {
+    /// `Gate::admit`: true when a slot was taken, false when refused.
+    fn admit(&self) -> bool {
+        let mut st = self.state.lock().unwrap();
+        if st.0 >= self.n_workers {
+            if st.1 >= self.queue_capacity {
+                return false;
+            }
+            st.1 += 1;
+            if self.recheck {
+                while st.0 >= self.n_workers {
+                    st = self.freed.wait(st).unwrap();
+                }
+            } else {
+                st = self.freed.wait(st).unwrap();
+            }
+            st.1 -= 1;
+        }
+        st.0 += 1;
+        assert!(st.0 <= self.n_workers, "running exceeded n_workers");
+        true
+    }
+
+    /// `Slot::drop`.
+    fn release(&self) {
+        self.state.lock().unwrap().0 -= 1;
+        if self.notify {
+            self.freed.notify_one();
+        }
+    }
+}
+
+/// `callers` callers against one slot and a one-caller wait line. Each
+/// caller that gets in marks itself executing in a model atomic (the
+/// query's work, outside the gate's lock) and checks the bound there.
+fn gate_model(callers: usize, notify: bool, recheck: bool) {
+    let gate = Arc::new(GateModel {
+        state: Mutex::new((0, 0)),
+        freed: Condvar::new(),
+        n_workers: 1,
+        queue_capacity: 1,
+        notify,
+        recheck,
+    });
+    let executing = Arc::new(AtomicUsize::new(0));
+    let handles: Vec<_> = (0..callers)
+        .map(|_| {
+            let (gate, executing) = (Arc::clone(&gate), Arc::clone(&executing));
+            thread::spawn(move || {
+                if !gate.admit() {
+                    return false;
+                }
+                // ORDER: SeqCst — a plain occupancy count; exclusion must
+                // come from the gate, not from this counter's ordering.
+                let now = executing.fetch_add(1, Ordering::SeqCst) + 1;
+                assert!(now <= gate.n_workers, "running exceeded n_workers");
+                // ORDER: SeqCst — as above.
+                executing.fetch_sub(1, Ordering::SeqCst);
+                gate.release();
+                true
+            })
+        })
+        .collect();
+    let admitted = handles
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .filter(|&ran| ran)
+        .count();
+    // The first caller always gets in; a refusal needs a full wait line.
+    assert!(admitted >= 1, "no caller was admitted");
+    let st = gate.state.lock().unwrap();
+    assert_eq!(*st, (0, 0), "slot or wait-line count leaked");
+}
+
+#[test]
+fn admission_gate_passes_randomized() {
+    conccheck::check("admission-gate", &Opts::from_env(64), || {
+        gate_model(3, true, true)
+    })
+    .assert_pass();
+}
+
+#[test]
+fn admission_gate_passes_dfs() {
+    // Two callers (one runs, one waits for the handoff), depth-first up to
+    // the schedule cap.
+    let mut opts = Opts::from_env(64);
+    opts.engine.max_schedules = 5_000;
+    conccheck::check_dfs("admission-gate-dfs", &opts, || gate_model(2, true, true)).assert_pass();
+}
+
+/// A release that never notifies strands the caller waiting in line: every
+/// live thread ends up blocked.
+#[test]
+fn admission_gate_without_notify_fails_under_checker() {
+    let bug = conccheck::find_bug("admission-gate-no-notify", &Opts::from_env(64), || {
+        gate_model(3, false, true)
+    });
+    if conccheck::enabled() {
+        let bug = bug.expect("a release without notify_one must strand a waiter");
+        assert!(bug.message.contains("deadlock"), "{bug}");
+    }
+}
+
+/// A woken waiter that takes the slot without re-checking races a caller
+/// that barged in between the release and the wake-up: two run at once.
+#[test]
+fn admission_gate_without_recheck_fails_under_checker() {
+    let bug = conccheck::find_bug("admission-gate-no-recheck", &Opts::from_env(64), || {
+        gate_model(3, true, false)
+    });
+    if conccheck::enabled() {
+        let bug = bug.expect("waking without a re-check must over-admit");
+        assert!(bug.message.contains("exceeded n_workers"), "{bug}");
     }
 }
 

@@ -99,7 +99,6 @@ fn readers_see_snapshot_consistent_results_during_live_republish() {
     let runtime = ServeRuntime::start(
         Arc::clone(&indexes[0]),
         ServeConfig {
-            n_shards: 4,
             n_workers: 4,
             ..ServeConfig::default()
         },
@@ -189,7 +188,6 @@ fn derived_rebuilds_stay_queryable_and_consistent() {
     let runtime = ServeRuntime::start(
         Arc::clone(&current),
         ServeConfig {
-            n_shards: 2,
             n_workers: 2,
             ..ServeConfig::default()
         },

@@ -4,7 +4,7 @@
 //! samples 1 in N: [`Tracer::maybe_trace`] is one `fetch_add` for the
 //! N-1 untraced queries and only allocates for the sampled one. A sampled
 //! query gets a [`TraceBuilder`]; instrumented stages open [`SpanGuard`]s
-//! around their work (plan, execute, finish, per-shard scatter/gather) and
+//! around their work (admission wait, plan, execute, finish, overlay) and
 //! the guard's `Drop` records a monotonic start/duration pair. Finished
 //! traces land in a bounded ring buffer that callers (the `ad_server`
 //! `:trace` command, experiment reports) drain at leisure.

@@ -1,6 +1,6 @@
 //! A miniature ad server over stdin, served through the `broadmatch-serve`
-//! runtime: queries scatter across shard workers, and the index can be
-//! rebuilt and atomically swapped while queries are in flight.
+//! runtime: each query runs behind its admission gate, and the index can
+//! be rebuilt and atomically swapped while queries are in flight.
 //!
 //! ```text
 //! cargo run --release --example ad_server            # interactive
@@ -22,7 +22,7 @@
 //! Commands: plain text runs a broad-match auction; `:exact <q>` /
 //! `:phrase <q>` switch semantics; `:stats <q>` shows query processing
 //! statistics; `:reload <seed>` rebuilds the corpus at a new seed and
-//! publishes it without stopping the pool; `:insert <listing> <bid_cents>
+//! publishes it without pausing queries; `:insert <listing> <bid_cents>
 //! <phrase>` adds an ad through the delta overlay (visible to the next
 //! query); `:remove <listing> <phrase>` deletes by exact phrase + listing;
 //! `:compact` folds the overlay into a rebuilt base immediately (a
@@ -80,7 +80,6 @@ fn run_listen(addr: &str, shard: (usize, usize), seed: u64) {
     let runtime = ServeRuntime::start_maintained(
         index,
         ServeConfig {
-            n_shards: 4,
             n_workers: 4,
             ..ServeConfig::default()
         },
@@ -291,7 +290,6 @@ fn run_local() {
     let runtime = ServeRuntime::start_maintained(
         index,
         ServeConfig {
-            n_shards: 4,
             n_workers: 4,
             ..ServeConfig::default()
         },
@@ -306,8 +304,7 @@ fn run_local() {
         stats.directory_bytes / 1024
     );
     eprintln!(
-        "serving via {} shards x {} workers (snapshot v1)",
-        runtime.config().n_shards,
+        "serving up to {} queries at once (snapshot v1)",
         runtime.config().n_workers
     );
     eprintln!(
@@ -454,7 +451,6 @@ fn run_local() {
                 println!("overloaded; retry after {retry_after:?}");
                 continue;
             }
-            Err(ServeError::ShuttingDown) => break,
         };
         let elapsed = start.elapsed();
         let mut hits = resp.hits;
