@@ -18,9 +18,10 @@
 //!   backends with per-backend deadlines and one hedged retry for
 //!   stragglers; backend failure degrades the response (partial results,
 //!   `degraded` flag, per-shard status) instead of failing it.
-//! * [`replica`] — update shipping: replicas poll the primary's op log
-//!   (the PR-3 insert/remove log, with its base epoch) and replay it
-//!   locally, converging to bit-identical answers.
+//! * [`replica`] — update shipping: replicas poll the primary runtime's
+//!   op log ([`broadmatch_serve::ServeRuntime::log_since`], every
+//!   insert/remove in commit order) and replay it locally, converging to
+//!   bit-identical answers.
 //!
 //! Everything reports through `broadmatch-telemetry` (`net_*` families),
 //! and `experiments net-throughput` closes the loop against the netsim
@@ -30,17 +31,13 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
-pub mod oplog;
 pub mod replica;
 pub mod router;
 pub mod server;
 pub mod wire;
 
 pub use metrics::NetMetrics;
-pub use oplog::OpLog;
 pub use replica::{ReplicaConfig, ReplicaSyncer};
 pub use router::{partition_of, RoutedResponse, Router, RouterConfig, ShardState, ShardStatus};
 pub use server::{call, Backend, BackendConfig};
-pub use wire::{
-    ErrorCode, ErrorReply, Frame, Opcode, QueryReply, RepOp, Request, Response, WireError,
-};
+pub use wire::{ErrorCode, ErrorReply, Frame, Opcode, QueryReply, Request, Response, WireError};

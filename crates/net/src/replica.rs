@@ -3,17 +3,22 @@
 //! A read replica starts from the same base index as its primary (same
 //! corpus, same build), then a [`ReplicaSyncer`] thread polls the
 //! primary's `OplogSubscribe` wire op from its last applied sequence and
-//! replays each [`RepOp`] through its local runtime's delta overlay.
-//! Because the overlay applies operations deterministically and the op
-//! log is shipped in commit order, *same base + same op prefix ⇒
-//! identical answers* — the partition test asserts this bit-for-bit
-//! against both the primary and a fresh single-threaded rebuild.
+//! replays each [`UpdateOp`] through its local runtime's delta overlay.
+//! The shipped log is the primary runtime's own op log
+//! ([`ServeRuntime::log_since`]), sequenced under the lock that commits
+//! each mutation, so it is in commit order even under concurrent writers.
+//! Because the overlay applies operations deterministically, *same base +
+//! same op prefix ⇒ identical answers* — the partition tests assert this
+//! bit-for-bit against the primary and a fresh single-threaded rebuild.
 //!
-//! The primary's op log is append-only relative to the base the server
+//! The primary's op log is append-only relative to the base its runtime
 //! started from, so a replica (re)started from that base can always
 //! catch up from sequence 0, even across primary compactions (folding
 //! the overlay changes the primary's *internal* representation, not its
-//! answers, and the shipped log is not truncated).
+//! answers, and the log is not truncated). An insert's acknowledged
+//! `seq` is the primary's log head once the insert committed — at or
+//! after the insert's own sequence — so [`ReplicaSyncer::wait_for_seq`]
+//! on it is a read-your-write wait.
 //!
 //! The syncer is deliberately pull-based: a poll loop with a reconnect
 //! path is trivially correct under partitions — the replica just lags
@@ -26,11 +31,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use broadmatch_serve::ServeRuntime;
+use broadmatch_serve::{ServeRuntime, UpdateOp};
 
 use crate::metrics::ReplicaMetrics;
 use crate::server::call;
-use crate::wire::{RepOp, Request, Response};
+use crate::wire::{Request, Response};
 
 /// Replica polling knobs.
 #[derive(Debug, Clone)]
@@ -78,12 +83,15 @@ impl ReplicaSyncer {
     /// at op-log sequence `from_seq` (0 for a replica built from the
     /// primary's initial base). Metric families register into the
     /// replica runtime's registry.
+    ///
+    /// # Errors
+    /// Propagates a failure to spawn the sync thread.
     pub fn start(
         primary: SocketAddr,
         replica: Arc<ServeRuntime>,
         from_seq: u64,
         config: ReplicaConfig,
-    ) -> ReplicaSyncer {
+    ) -> std::io::Result<ReplicaSyncer> {
         let metrics = ReplicaMetrics::register(replica.registry());
         let shared = Arc::new(SyncShared {
             stop: AtomicBool::new(false),
@@ -92,9 +100,11 @@ impl ReplicaSyncer {
         let loop_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name("net-replica-sync".into())
-            .spawn(move || sync_loop(primary, &replica, &config, &metrics, &loop_shared))
-            .ok();
-        ReplicaSyncer { shared, thread }
+            .spawn(move || sync_loop(primary, &replica, &config, &metrics, &loop_shared))?;
+        Ok(ReplicaSyncer {
+            shared,
+            thread: Some(thread),
+        })
     }
 
     /// Last op-log sequence applied locally.
@@ -211,12 +221,12 @@ fn sync_loop(
 /// Replay one shipped op against the local runtime. Insert failures are
 /// impossible for ops the primary accepted (same validation), but are
 /// swallowed rather than crash the sync thread.
-fn apply_op(replica: &Arc<ServeRuntime>, op: &RepOp) {
+fn apply_op(replica: &Arc<ServeRuntime>, op: &UpdateOp) {
     match op {
-        RepOp::Insert { phrase, info } => {
+        UpdateOp::Insert { phrase, info } => {
             let _ = replica.insert(phrase, *info);
         }
-        RepOp::Remove { phrase, listing_id } => {
+        UpdateOp::Remove { phrase, listing_id } => {
             let _ = replica.remove(phrase, *listing_id);
         }
     }

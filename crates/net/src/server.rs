@@ -28,9 +28,8 @@ use std::time::Duration;
 use broadmatch_serve::{poison, ServeError, ServeRuntime};
 
 use crate::metrics::NetMetrics;
-use crate::oplog::OpLog;
 use crate::wire::{
-    self, ErrorCode, ErrorReply, Frame, Opcode, QueryReply, RepOp, Request, Response, WireError,
+    self, ErrorCode, ErrorReply, Frame, Opcode, QueryReply, Request, Response, WireError,
 };
 
 /// Backend sizing knobs.
@@ -54,7 +53,6 @@ impl Default for BackendConfig {
 
 struct BackendShared {
     runtime: Arc<ServeRuntime>,
-    oplog: Arc<OpLog>,
     metrics: NetMetrics,
     stop: AtomicBool,
     active: AtomicU64,
@@ -104,7 +102,6 @@ impl Backend {
         let metrics = NetMetrics::register(runtime.registry());
         let shared = Arc::new(BackendShared {
             runtime,
-            oplog: Arc::new(OpLog::new()),
             metrics,
             stop: AtomicBool::new(false),
             active: AtomicU64::new(0),
@@ -126,11 +123,6 @@ impl Backend {
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The replication log this backend appends effective mutations to.
-    pub fn oplog(&self) -> &Arc<OpLog> {
-        &self.shared.oplog
     }
 
     /// The embedded serving runtime.
@@ -297,13 +289,10 @@ fn dispatch(req: &Request, shared: &Arc<BackendShared>) -> Response {
             }),
         },
         Request::Insert { phrase, info } => match shared.runtime.insert(phrase, *info) {
-            Ok(ad) => {
-                let seq = shared.oplog.append(RepOp::Insert {
-                    phrase: phrase.clone(),
-                    info: *info,
-                });
-                Response::Insert { ad: ad.raw(), seq }
-            }
+            Ok(ad) => Response::Insert {
+                ad: ad.raw(),
+                seq: shared.runtime.log_head(),
+            },
             Err(e) => Response::Error(ErrorReply {
                 code: ErrorCode::BadRequest,
                 retry_after_micros: 0,
@@ -312,17 +301,9 @@ fn dispatch(req: &Request, shared: &Arc<BackendShared>) -> Response {
         },
         Request::Remove { phrase, listing_id } => {
             let removed = shared.runtime.remove(phrase, *listing_id);
-            let seq = if removed > 0 {
-                shared.oplog.append(RepOp::Remove {
-                    phrase: phrase.clone(),
-                    listing_id: *listing_id,
-                })
-            } else {
-                shared.oplog.head_seq()
-            };
             Response::Remove {
                 removed: removed as u64,
-                seq,
+                seq: shared.runtime.log_head(),
             }
         }
         Request::Compact => match shared.runtime.compact_now() {
@@ -342,12 +323,12 @@ fn dispatch(req: &Request, shared: &Arc<BackendShared>) -> Response {
             let (_, version) = shared.runtime.current();
             Response::Health {
                 version,
-                oplog_seq: shared.oplog.head_seq(),
+                oplog_seq: shared.runtime.log_head(),
                 base_epoch: shared.runtime.base_epoch(),
             }
         }
         Request::OplogSubscribe { from_seq, max_ops } => {
-            let (ops, next_seq, head_seq) = shared.oplog.since(*from_seq, *max_ops);
+            let (ops, next_seq, head_seq) = shared.runtime.log_since(*from_seq, *max_ops as usize);
             Response::Oplog {
                 ops,
                 next_seq,

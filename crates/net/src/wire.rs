@@ -21,6 +21,7 @@
 use std::io::{Read, Write};
 
 use broadmatch::{AdId, AdInfo, MatchHit, MatchType, QueryStats};
+use broadmatch_serve::UpdateOp;
 
 /// Frame magic: "BMNE" (BroadMatch NEt) as a little-endian `u32`.
 pub const MAGIC: u32 = 0x454E_4D42;
@@ -512,40 +513,22 @@ impl Request {
 }
 
 // ---------------------------------------------------------------------------
-// Replicated operations (the PR-3 op log on the wire).
+// Replicated operations: entries of the serve runtime's op log
+// (tag 1 = insert, tag 2 = remove).
 
-/// One replicated mutation, as shipped primary → replica.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RepOp {
-    /// An overlay insert.
-    Insert {
-        /// Bid phrase.
-        phrase: String,
-        /// Ad metadata.
-        info: AdInfo,
-    },
-    /// A query-shaped delete.
-    Remove {
-        /// Bid phrase.
-        phrase: String,
-        /// Listing to remove.
-        listing_id: u64,
-    },
-}
+/// Minimum encoded size of an [`UpdateOp`] (tag + listing + empty phrase).
+const UPDATE_OP_MIN: usize = 1 + 8 + 4;
 
-/// Minimum encoded size of a [`RepOp`] (tag + listing + empty phrase).
-const REP_OP_MIN: usize = 1 + 8 + 4;
-
-fn put_rep_op(out: &mut Vec<u8>, op: &RepOp) {
+fn put_update_op(out: &mut Vec<u8>, op: &UpdateOp) {
     match op {
-        RepOp::Insert { phrase, info } => {
+        UpdateOp::Insert { phrase, info } => {
             out.push(1);
             put_u64(out, info.listing_id);
             put_u32(out, info.campaign_id);
             put_u64(out, info.bid_micros);
             put_string(out, phrase);
         }
-        RepOp::Remove { phrase, listing_id } => {
+        UpdateOp::Remove { phrase, listing_id } => {
             out.push(2);
             put_u64(out, *listing_id);
             put_string(out, phrase);
@@ -553,14 +536,14 @@ fn put_rep_op(out: &mut Vec<u8>, op: &RepOp) {
     }
 }
 
-fn get_rep_op(c: &mut Cursor<'_>) -> Result<RepOp, WireError> {
+fn get_update_op(c: &mut Cursor<'_>) -> Result<UpdateOp, WireError> {
     match c.u8()? {
         1 => {
             let listing_id = c.u64()?;
             let campaign_id = c.u32()?;
             let bid_micros = c.u64()?;
             let phrase = c.string()?;
-            Ok(RepOp::Insert {
+            Ok(UpdateOp::Insert {
                 phrase,
                 info: AdInfo {
                     listing_id,
@@ -572,7 +555,7 @@ fn get_rep_op(c: &mut Cursor<'_>) -> Result<RepOp, WireError> {
         2 => {
             let listing_id = c.u64()?;
             let phrase = c.string()?;
-            Ok(RepOp::Remove { phrase, listing_id })
+            Ok(UpdateOp::Remove { phrase, listing_id })
         }
         _ => Err(WireError::Malformed("bad op tag")),
     }
@@ -646,7 +629,9 @@ pub enum Response {
     Insert {
         /// Assigned ad id (dense, backend-local).
         ad: u32,
-        /// Op-log sequence this mutation was logged at.
+        /// The primary's op-log head once this insert committed: at or
+        /// after the insert's own sequence, so a replica that has applied
+        /// through `seq` answers with the insert.
         seq: u64,
     },
     /// Remove acknowledged.
@@ -678,14 +663,16 @@ pub enum Response {
     /// Op-log batch.
     Oplog {
         /// Ops with sequence in `(from_seq, next_seq]`.
-        ops: Vec<RepOp>,
-        /// Sequence of the last op in `ops` (equals the request's
-        /// `from_seq` when the batch is empty).
+        ops: Vec<UpdateOp>,
+        /// Sequence of the last op in `ops` (when the batch is empty, the
+        /// request's `from_seq` clamped to `head_seq`).
         next_seq: u64,
         /// The primary's op-log head — `head_seq - next_seq` is the
         /// replica's lag in ops.
         head_seq: u64,
-        /// Base epoch the log is relative to.
+        /// Base epoch of the primary's published snapshot, bumped by every
+        /// fold or publish. Informational: the log is relative to the base
+        /// the primary's runtime started from, not to this epoch.
         base_epoch: u64,
     },
     /// Failure.
@@ -810,7 +797,7 @@ impl Response {
                 put_u64(&mut payload, *base_epoch);
                 put_u32(&mut payload, ops.len() as u32);
                 for op in ops {
-                    put_rep_op(&mut payload, op);
+                    put_update_op(&mut payload, op);
                 }
             }
             Response::Error(err) => {
@@ -893,10 +880,10 @@ impl Response {
                 let next_seq = c.u64()?;
                 let head_seq = c.u64()?;
                 let base_epoch = c.u64()?;
-                let n = c.count(REP_OP_MIN)?;
+                let n = c.count(UPDATE_OP_MIN)?;
                 let mut ops = Vec::with_capacity(n);
                 for _ in 0..n {
-                    ops.push(get_rep_op(&mut c)?);
+                    ops.push(get_update_op(&mut c)?);
                 }
                 Response::Oplog {
                     ops,
@@ -1028,11 +1015,11 @@ mod tests {
         round_trip_response(
             Response::Oplog {
                 ops: vec![
-                    RepOp::Insert {
+                    UpdateOp::Insert {
                         phrase: "a b".into(),
                         info: AdInfo::with_bid(1, 5),
                     },
-                    RepOp::Remove {
+                    UpdateOp::Remove {
                         phrase: "a b".into(),
                         listing_id: 1,
                     },
@@ -1051,6 +1038,40 @@ mod tests {
             }),
             Opcode::Query,
         );
+    }
+
+    #[test]
+    fn oplog_batch_bytes_are_pinned() {
+        let resp = Response::Oplog {
+            ops: vec![
+                UpdateOp::Insert {
+                    phrase: "a b".into(),
+                    info: AdInfo {
+                        listing_id: 0x0102,
+                        campaign_id: 3,
+                        bid_micros: 4,
+                    },
+                },
+                UpdateOp::Remove {
+                    phrase: "x".into(),
+                    listing_id: 7,
+                },
+            ],
+            next_seq: 2,
+            head_seq: 9,
+            base_epoch: 1,
+        };
+        #[rustfmt::skip]
+        let want: Vec<u8> = vec![
+            2, 0, 0, 0, 0, 0, 0, 0, // next_seq
+            9, 0, 0, 0, 0, 0, 0, 0, // head_seq
+            1, 0, 0, 0, 0, 0, 0, 0, // base_epoch
+            2, 0, 0, 0, // op count
+            1, 2, 1, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, // insert
+            3, 0, 0, 0, b'a', b' ', b'b',
+            2, 7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, b'x', // remove
+        ];
+        assert_eq!(resp.to_frame(Opcode::OplogSubscribe, 1).payload, want);
     }
 
     #[test]

@@ -9,20 +9,23 @@
 //! ships the primary's op log across. The test kills the read replica
 //! under a live query stream, keeps mutating the primary while the
 //! replica is dark, then restarts the replica from the original base and
-//! lets the syncer replay history.
+//! lets the syncer replay history. A second test has eight writers insert
+//! into one primary at once and checks the shipped log is in commit order.
 
 mod common;
 
+use std::collections::HashMap;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use broadmatch::{AdInfo, MatchType};
+use broadmatch::{AdId, AdInfo, MatchType};
 use broadmatch_net::wire::{Request, Response};
 use broadmatch_net::{
     call, Backend, BackendConfig, ReplicaConfig, ReplicaSyncer, Router, RouterConfig, ShardState,
 };
+use broadmatch_serve::UpdateOp;
 use broadmatch_telemetry::Registry;
 
 use common::{
@@ -68,7 +71,8 @@ fn kill_degrade_restart_converge() {
         Arc::clone(replica.runtime()),
         0,
         ReplicaConfig::default(),
-    );
+    )
+    .expect("spawn syncer");
 
     // Tight deadlines keep the degraded path fast once the replica dies
     // (connect to a closed loopback port fails immediately).
@@ -154,7 +158,7 @@ fn kill_degrade_restart_converge() {
             other => panic!("unexpected mutation response: {other:?}"),
         }
     }
-    let head_seq = primary.oplog().head_seq();
+    let head_seq = primary.runtime().log_head();
     assert!(head_seq >= mutations.len() as u64 - 4, "ops were logged");
 
     // Phase 4 — restart the replica from the ORIGINAL base and let the
@@ -171,7 +175,8 @@ fn kill_degrade_restart_converge() {
         Arc::clone(replica2.runtime()),
         0,
         ReplicaConfig::default(),
-    );
+    )
+    .expect("spawn syncer");
     assert!(
         syncer.wait_for_seq(head_seq, Duration::from_secs(10)),
         "replica failed to catch up to seq {head_seq}"
@@ -245,4 +250,120 @@ fn kill_degrade_restart_converge() {
         .snapshot()
         .counter_total("net_replica_ops_applied_total");
     assert!(applied >= head_seq, "ops applied: {applied} < {head_seq}");
+}
+
+/// Eight writers, each on its own connection, insert distinct phrases
+/// into one primary. The shipped log must be in commit order — ad ids
+/// ascend with log sequence — and every ack's `seq` must cover its own
+/// insert; otherwise a replica replaying the log assigns different
+/// `AdId`s than the primary did.
+#[test]
+fn concurrent_writers_ship_in_commit_order() {
+    const WRITERS: u64 = 8;
+    const PER_WRITER: u64 = 300;
+    let parts = partitioned_corpus(1, 29);
+    let primary = backend_over(&parts[0]);
+
+    // (acked ad, acked seq, phrase) for every insert. Writers connect,
+    // then start together so their inserts contend for the update lock.
+    let start = Barrier::new(WRITERS as usize);
+    let acks: Vec<(u32, u64, String)> = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (addr, start) = (primary.local_addr(), &start);
+                s.spawn(move || {
+                    let mut conn = TcpStream::connect(addr).expect("primary up");
+                    start.wait();
+                    (0..PER_WRITER)
+                        .map(|i| {
+                            let phrase = format!("zz writer{w} phrase{i}");
+                            let req = Request::Insert {
+                                phrase: phrase.clone(),
+                                info: AdInfo::with_bid(900_000 + w * PER_WRITER + i, 10),
+                            };
+                            match call(&mut conn, &req, i).expect("primary applies insert") {
+                                Response::Insert { ad, seq } => (ad, seq, phrase),
+                                other => panic!("unexpected insert response: {other:?}"),
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        writers
+            .into_iter()
+            .flat_map(|w| w.join().expect("writer thread"))
+            .collect()
+    });
+    let total = WRITERS * PER_WRITER;
+    assert_eq!(acks.len() as u64, total);
+
+    // The log as a replica receives it, with each insert's sequence.
+    let mut conn = TcpStream::connect(primary.local_addr()).expect("primary up");
+    let req = Request::OplogSubscribe {
+        from_seq: 0,
+        max_ops: u32::MAX,
+    };
+    let Response::Oplog { ops, head_seq, .. } = call(&mut conn, &req, 1).expect("oplog") else {
+        panic!("expected an op-log batch");
+    };
+    assert_eq!((ops.len() as u64, head_seq), (total, total));
+    let seq_of: HashMap<&str, u64> = ops
+        .iter()
+        .zip(1..)
+        .map(|(op, seq)| match op {
+            UpdateOp::Insert { phrase, .. } => (phrase.as_str(), seq),
+            other => panic!("unexpected op {other:?}"),
+        })
+        .collect();
+
+    let mut by_seq: Vec<(u64, u32)> = acks
+        .iter()
+        .map(|(ad, acked, phrase)| {
+            let seq = seq_of[phrase.as_str()];
+            assert!(
+                *acked >= seq,
+                "ack seq {acked} precedes the insert's seq {seq}"
+            );
+            (seq, *ad)
+        })
+        .collect();
+    by_seq.sort_unstable();
+    let inversions = by_seq.windows(2).filter(|w| w[0].1 >= w[1].1).count();
+    assert_eq!(
+        inversions, 0,
+        "{inversions} of {total} ops logged out of commit order"
+    );
+
+    // A replica replaying from seq 0 over the same base answers every
+    // inserted phrase bit-identically, with the primary's acked ad.
+    let replica = runtime_over(&parts[0]);
+    let syncer = ReplicaSyncer::start(
+        primary.local_addr(),
+        Arc::clone(&replica),
+        0,
+        ReplicaConfig::default(),
+    )
+    .expect("spawn syncer");
+    assert!(
+        syncer.wait_for_seq(total, Duration::from_secs(30)),
+        "replica failed to catch up to seq {total}"
+    );
+    let mut diverged = Vec::new();
+    for (ad, _, phrase) in &acks {
+        let on_primary = primary.runtime().query(phrase, MatchType::Exact);
+        let on_primary = on_primary.expect("primary admits").hits;
+        assert_eq!(on_primary.len(), 1, "primary lost {phrase:?}");
+        assert_eq!(on_primary[0].ad, AdId(*ad), "acked ad for {phrase:?}");
+        let on_replica = replica.query(phrase, MatchType::Exact);
+        if on_replica.expect("replica admits").hits != on_primary {
+            diverged.push(phrase);
+        }
+    }
+    assert!(
+        diverged.is_empty(),
+        "replica diverged on {} of {total} phrases, first {:?}",
+        diverged.len(),
+        diverged.first()
+    );
 }

@@ -6,10 +6,10 @@
 
 use broadmatch::{AdInfo, MatchType, QueryStats};
 use broadmatch_net::wire::{
-    self, ErrorCode, ErrorReply, Frame, Opcode, QueryReply, RepOp, Request, Response, MAGIC,
-    WIRE_VERSION,
+    self, ErrorCode, ErrorReply, Frame, Opcode, QueryReply, Request, Response, MAGIC, WIRE_VERSION,
 };
 use broadmatch_rng::{Pcg32, RandomSource};
+use broadmatch_serve::UpdateOp;
 
 fn valid_frames() -> Vec<Frame> {
     let requests = [
@@ -46,11 +46,11 @@ fn valid_frames() -> Vec<Frame> {
         (
             Response::Oplog {
                 ops: vec![
-                    RepOp::Insert {
+                    UpdateOp::Insert {
                         phrase: "a b c".into(),
                         info: AdInfo::with_bid(1, 10),
                     },
-                    RepOp::Remove {
+                    UpdateOp::Remove {
                         phrase: "a b c".into(),
                         listing_id: 1,
                     },

@@ -57,4 +57,4 @@ pub use arcswap::ArcSwap;
 // shares one implementation; re-exported here for compatibility.
 pub use broadmatch_telemetry::{LatencyHistogram, DEFAULT_BUCKET_MS};
 pub use runtime::{QueryResponse, ServeConfig, ServeError, ServeMetrics, ServeRuntime};
-pub use update::UpdateConfig;
+pub use update::{UpdateConfig, UpdateOp};

@@ -32,7 +32,7 @@ use broadmatch_telemetry::{
 
 use crate::arcswap::ArcSwap;
 use crate::poison;
-use crate::update::{self, StopSignal, UpdateConfig, UpdateOp, UpdateState};
+use crate::update::{self, StopSignal, UpdateConfig, UpdateOp};
 
 /// Runtime sizing knobs.
 #[derive(Debug, Clone)]
@@ -257,9 +257,11 @@ pub(crate) struct Inner {
     pub(crate) handles: Handles,
     pub(crate) version: AtomicU64,
     pub(crate) published_at: Mutex<Instant>,
-    /// Writer-side state: the op log and base epoch, guarded by one mutex
-    /// that serializes all mutations (readers never take it).
-    pub(crate) update: Mutex<UpdateState>,
+    /// The op log: every effective mutation in commit order. Its mutex is
+    /// the update lock — it serializes all mutations and base swaps, and
+    /// an op's 1-based position is its sequence number. Readers never
+    /// take it.
+    pub(crate) log: Mutex<Vec<UpdateOp>>,
 }
 
 /// The serving runtime. Queries are safe to submit from any number of
@@ -313,10 +315,7 @@ impl ServeRuntime {
             handles,
             version: AtomicU64::new(1),
             published_at: Mutex::new(Instant::now()),
-            update: Mutex::new(UpdateState {
-                log: Vec::new(),
-                base_epoch: 1,
-            }),
+            log: Mutex::new(Vec::new()),
         });
         ServeRuntime {
             inner,
@@ -441,13 +440,13 @@ impl ServeRuntime {
     /// Atomically publish a new index. In-flight and future queries each
     /// see exactly one snapshot; none block, none see a partial swap.
     /// Any pending delta overlay is discarded — the new index is the new
-    /// source of truth — and the op log is cleared.
+    /// source of truth. The op log is kept: it still records, in order,
+    /// every mutation since the runtime started.
     /// Returns the new version number.
     pub fn publish(&self, index: Arc<BroadMatchIndex>) -> u64 {
         let t0 = Instant::now();
-        let mut st = poison::lock(&self.inner.update);
-        st.log.clear();
-        st.base_epoch += 1;
+        let log = poison::lock(&self.inner.log);
+        let base_epoch = self.inner.snapshot.load().base_epoch + 1;
         let overlay = DeltaOverlay::for_base(&index);
         self.inner.handles.overlay.set_overlay_state(&overlay);
         // ORDER: SeqCst — version bump and snapshot store form the publish
@@ -458,9 +457,9 @@ impl ServeRuntime {
             index,
             overlay: Arc::new(overlay),
             version,
-            base_epoch: st.base_epoch,
+            base_epoch,
         }));
-        drop(st);
+        drop(log);
         *poison::lock(&self.inner.published_at) = Instant::now();
         self.inner.handles.snapshot_version.set(version as f64);
         self.inner
@@ -478,11 +477,11 @@ impl ServeRuntime {
     /// [`BuildError::EmptyPhrase`] / [`BuildError::PhraseTooLong`] when the
     /// phrase fails the same validation the offline builder applies.
     pub fn insert(&self, phrase: &str, info: AdInfo) -> Result<AdId, BuildError> {
-        let mut st = poison::lock(&self.inner.update);
+        let mut log = poison::lock(&self.inner.log);
         let snapshot = self.inner.snapshot.load();
         let mut overlay = (*snapshot.overlay).clone();
         let id = overlay.insert(phrase, info)?;
-        st.log.push(UpdateOp::Insert {
+        log.push(UpdateOp::Insert {
             phrase: phrase.to_string(),
             info,
         });
@@ -496,14 +495,14 @@ impl ServeRuntime {
     /// are tombstoned (hidden from queries, bytes reclaimed at the next
     /// compaction). Returns how many ads were removed.
     pub fn remove(&self, phrase: &str, listing_id: u64) -> usize {
-        let mut st = poison::lock(&self.inner.update);
+        let mut log = poison::lock(&self.inner.log);
         let snapshot = self.inner.snapshot.load();
         let mut overlay = (*snapshot.overlay).clone();
         let removed = overlay.remove(&snapshot.index, phrase, listing_id);
         if removed == 0 {
             return 0; // nothing changed; skip the republish and the log
         }
-        st.log.push(UpdateOp::Remove {
+        log.push(UpdateOp::Remove {
             phrase: phrase.to_string(),
             listing_id,
         });
@@ -552,11 +551,34 @@ impl ServeRuntime {
 
     /// The base epoch of the currently published snapshot. Bumped whenever
     /// the *base* index changes (an external publish or a compaction fold);
-    /// overlay-only republishes keep it. Replica shipping tags op-log
-    /// batches with this so a follower can tell "same base, more ops" from
-    /// "the primary rebuilt underneath me".
+    /// overlay-only republishes keep it. The op log does not depend on it:
+    /// a fold changes the base's representation, not its answers, and the
+    /// log is never truncated.
     pub fn base_epoch(&self) -> u64 {
         self.inner.snapshot.load().base_epoch
+    }
+
+    /// Sequence number of the newest logged mutation: the number of
+    /// effective inserts and removes since the runtime started (0 when
+    /// none). Folds and publishes leave it unchanged.
+    pub fn log_head(&self) -> u64 {
+        poison::lock(&self.inner.log).len() as u64
+    }
+
+    /// Up to `max_ops` logged mutations with sequence `> from_seq`, in
+    /// commit order, plus the sequence of the last op returned and the
+    /// current head. A `from_seq` past the head clamps to it (empty batch).
+    ///
+    /// The log is relative to the base the runtime started from: replaying
+    /// it from sequence 0 over that base, through [`ServeRuntime::insert`]
+    /// and [`ServeRuntime::remove`], reproduces this runtime's answers —
+    /// unless [`ServeRuntime::publish`] has since replaced the base.
+    pub fn log_since(&self, from_seq: u64, max_ops: usize) -> (Vec<UpdateOp>, u64, u64) {
+        let log = poison::lock(&self.inner.log);
+        let head = log.len() as u64;
+        let start = from_seq.min(head) as usize;
+        let end = start.saturating_add(max_ops).min(log.len());
+        (log[start..end].to_vec(), end as u64, head)
     }
 
     /// Copy out counters and histograms (assembled from the registry).
@@ -953,6 +975,81 @@ mod tests {
 
         // Nothing left to fold.
         assert_eq!(runtime.compact_now().unwrap(), None);
+    }
+
+    fn ins(n: u64) -> UpdateOp {
+        UpdateOp::Insert {
+            phrase: format!("phrase {n}"),
+            info: AdInfo::with_bid(100 + n, 10),
+        }
+    }
+
+    #[test]
+    fn log_since_pages_through_in_order() {
+        let runtime = ServeRuntime::with_defaults(sample());
+        assert_eq!(runtime.log_head(), 0);
+        for n in 0..5 {
+            runtime
+                .insert(&format!("phrase {n}"), AdInfo::with_bid(100 + n, 10))
+                .unwrap();
+            assert_eq!(runtime.log_head(), n + 1);
+        }
+
+        let (ops, next, head) = runtime.log_since(0, 2);
+        assert_eq!((ops.len(), next, head), (2, 2, 5));
+        assert_eq!(ops[0], ins(0));
+
+        let (ops, next, head) = runtime.log_since(next, 100);
+        assert_eq!((ops.len(), next, head), (3, 5, 5));
+        assert_eq!(ops[2], ins(4));
+
+        let (ops, next, head) = runtime.log_since(5, 100);
+        assert!(ops.is_empty());
+        assert_eq!((next, head), (5, 5));
+
+        // A stale or hostile from_seq past the head clamps safely.
+        for from in [999, u64::MAX] {
+            let (ops, next, head) = runtime.log_since(from, 100);
+            assert!(ops.is_empty());
+            assert_eq!((next, head), (5, 5));
+        }
+    }
+
+    #[test]
+    fn log_survives_folds_and_publishes_and_skips_noop_removes() {
+        let runtime = ServeRuntime::with_defaults(sample());
+        runtime
+            .insert("quantum books", AdInfo::with_bid(7, 70))
+            .unwrap();
+        assert_eq!(runtime.remove("books", 3), 1);
+        assert_eq!(runtime.log_head(), 2);
+
+        // A remove that removes nothing logs nothing.
+        assert_eq!(runtime.remove("used books", 999), 0);
+        assert_eq!(runtime.log_head(), 2);
+
+        runtime.compact_now().unwrap().expect("folded");
+        assert_eq!(runtime.log_head(), 2, "a fold keeps the log");
+
+        let mut b = IndexBuilder::new();
+        b.add("fresh books", AdInfo::with_bid(9, 90)).unwrap();
+        runtime.publish(Arc::new(b.build().unwrap()));
+        assert_eq!(runtime.log_head(), 2, "a publish keeps the log");
+
+        let (ops, _, _) = runtime.log_since(0, 10);
+        assert_eq!(
+            ops,
+            [
+                UpdateOp::Insert {
+                    phrase: "quantum books".into(),
+                    info: AdInfo::with_bid(7, 70),
+                },
+                UpdateOp::Remove {
+                    phrase: "books".into(),
+                    listing_id: 3,
+                },
+            ]
+        );
     }
 
     #[test]

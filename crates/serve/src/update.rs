@@ -5,17 +5,22 @@
 //! the current (small) [`DeltaOverlay`], apply the change, and republish
 //! the same base with the new overlay through the ArcSwap snapshot path —
 //! readers stay lock-free and see each update atomically. Writers are
-//! serialized by one update mutex, which also guards an **op log** of every
-//! mutation since the current base was published.
+//! serialized by one update mutex, which also guards the **op log**: every
+//! effective mutation since the runtime started, appended in commit order.
+//! An op's sequence number is its 1-based position in the log, assigned
+//! under the same lock that commits it, so the log order *is* the commit
+//! order. Replicas ship the log from [`crate::ServeRuntime::log_since`]
+//! and replay it over the base the runtime started from.
 //!
 //! A background **compaction worker** ([`spawn_compactor`], started by
 //! [`crate::ServeRuntime::start_maintained`]) watches overlay-size and
 //! dead-bytes thresholds ([`UpdateConfig`]). When one trips, [`compact`]
 //! folds the overlay into a rebuilt base — re-running the greedy set-cover
 //! re-mapping and reclaiming the tombstoned bytes — *without holding the
-//! update lock*; mutations that race the rebuild land in the op log and are
-//! replayed onto a fresh overlay against the new base before the swap, so
-//! no update is ever lost and readers never block.
+//! update lock*; mutations that race the rebuild are logged past the fold's
+//! cut and replayed onto a fresh overlay against the new base before the
+//! swap, so no update is ever lost and readers never block. Neither a fold
+//! nor a [`crate::ServeRuntime::publish`] truncates the log.
 
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::{Arc, Condvar, Mutex};
@@ -51,22 +56,25 @@ impl Default for UpdateConfig {
     }
 }
 
-/// One logged mutation. The log replays onto the rebuilt base when a
-/// compaction races with concurrent updates.
-#[derive(Debug, Clone)]
-pub(crate) enum UpdateOp {
-    Insert { phrase: String, info: AdInfo },
-    Remove { phrase: String, listing_id: u64 },
-}
-
-/// Writer-side state guarded by the runtime's single update mutex: readers
-/// never touch this. `base_epoch` identifies the base generation the op
-/// log is relative to; any base swap bumps it, which invalidates folds cut
-/// against the old base.
-#[derive(Debug, Default)]
-pub(crate) struct UpdateState {
-    pub(crate) log: Vec<UpdateOp>,
-    pub(crate) base_epoch: u64,
+/// One logged mutation: an entry of the runtime's op log, replayed onto
+/// the rebuilt base when a compaction races with concurrent updates and
+/// shipped to replicas in commit order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum UpdateOp {
+    /// An overlay insert.
+    Insert {
+        /// Bid phrase.
+        phrase: String,
+        /// Ad metadata.
+        info: AdInfo,
+    },
+    /// A query-shaped delete that removed at least one ad.
+    Remove {
+        /// Bid phrase.
+        phrase: String,
+        /// Listing to remove.
+        listing_id: u64,
+    },
 }
 
 /// Fold the current overlay into a rebuilt base and republish.
@@ -91,8 +99,8 @@ pub(crate) fn compact(
     loop {
         let t0 = Instant::now();
         let (cut, base_gen) = {
-            let st = poison::lock(&inner.update);
-            (st.log.len(), inner.snapshot.load())
+            let log = poison::lock(&inner.log);
+            (log.len(), inner.snapshot.load())
         };
         if base_gen.overlay.is_empty() {
             return Ok(None);
@@ -100,13 +108,13 @@ pub(crate) fn compact(
         let folded = Arc::new(base_gen.overlay.fold(&base_gen.index, workload.clone())?);
         let folded_ads = folded.stats().ads;
 
-        let mut st = poison::lock(&inner.update);
+        let log = poison::lock(&inner.log);
         let current = inner.snapshot.load();
         if current.base_epoch != base_gen.base_epoch {
             continue; // base swapped under the fold: re-cut and try again
         }
         let mut overlay = DeltaOverlay::for_base(&folded);
-        for op in &st.log[cut..] {
+        for op in &log[cut..] {
             match op {
                 UpdateOp::Insert { phrase, info } => {
                     let _ = overlay.insert(phrase, *info); // validated when first applied
@@ -116,8 +124,6 @@ pub(crate) fn compact(
                 }
             }
         }
-        st.log.clear();
-        st.base_epoch += 1;
         // ORDER: SeqCst — the version counter and the snapshot store below
         // form the publish point other threads read via ArcSwap; keeping
         // every publish-path atomic in the single SeqCst total order is the
@@ -128,7 +134,7 @@ pub(crate) fn compact(
             index: folded,
             overlay: Arc::new(overlay),
             version,
-            base_epoch: st.base_epoch,
+            base_epoch: current.base_epoch + 1,
         }));
         *poison::lock(&inner.published_at) = Instant::now();
         inner.handles.snapshot_version.set(version as f64);

@@ -323,8 +323,9 @@ fn unpack(g: u64) -> (u64, u64, u64) {
 }
 
 /// The compact() protocol with its two guards toggleable. Ads are bits;
-/// folding ORs the overlay into the base; the op log lives under the
-/// update mutex exactly like `UpdateState`.
+/// folding ORs the overlay into the base; the op log is the update mutex's
+/// append-only `Vec`, exactly like `Inner::log`: folds cut it by position
+/// and never clear it, and the epoch lives only in the generation word.
 fn base_epoch_model(check_epoch: bool, replay_log: bool) {
     let gen = Arc::new(AtomicU64::new(pack(0, 0, 0)));
     let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
@@ -375,7 +376,7 @@ fn base_epoch_model(check_epoch: bool, replay_log: bool) {
             thread::yield_now();
             let folded_base = b0 | o0;
 
-            let mut st = log_c.lock().unwrap();
+            let st = log_c.lock().unwrap();
             let (_bc, _oc, ec) = unpack(gen_c.load(Ordering::SeqCst));
             if check_epoch && ec != e0 {
                 drop(st);
@@ -386,7 +387,6 @@ fn base_epoch_model(check_epoch: bool, replay_log: bool) {
             } else {
                 0
             };
-            st.clear();
             gen_c.store(pack(folded_base, replayed, ec + 1), Ordering::SeqCst);
             return;
         }
