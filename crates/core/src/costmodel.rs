@@ -14,6 +14,15 @@
 //! must visit a node with locator `L`, and `acc_ge(L, ℓ)` restricts that to
 //! queries with at least `ℓ` words (shorter queries stop scanning before an
 //! `ℓ`-word entry thanks to the in-node ordering).
+//!
+//! Both functions come from one [`AccTable`], the co-access table: one
+//! enumeration of every workload query's bounded subsets. It is the largest
+//! input of the optimizer, so an index build makes it once and hands the
+//! same table to candidate pricing, the set-cover weights and both
+//! [`evaluate_mapping`] calls of the greedy-vs-baseline check. Its rows are
+//! flat — a row id per word set into one `u64` array — and the table is
+//! probed by borrowed subset slices, so building it allocates a key only for
+//! a word set seen for the first time.
 
 use std::collections::HashMap;
 
@@ -30,33 +39,22 @@ use crate::{QueryWorkload, WordSet};
 /// entries are assumed scanned).
 pub(crate) const MAX_TRACKED_LEN: usize = 32;
 
-/// Per-locator access frequencies, bucketed by query length.
-///
-/// `hist[ℓ]` after suffix-summing is `acc_ge(L, ℓ)`: the total frequency of
-/// workload queries `Q ⊇ L` with `|Q| ≥ ℓ`.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LenHist {
-    /// Suffix sums once [`AccTable::build`] finalizes.
-    acc_ge: Vec<u64>,
-}
-
-impl LenHist {
-    pub(crate) fn acc_total(&self) -> u64 {
-        self.acc_ge.first().copied().unwrap_or(0)
-    }
-
-    pub(crate) fn acc_ge(&self, len: usize) -> u64 {
-        let i = len.min(MAX_TRACKED_LEN);
-        self.acc_ge.get(i).copied().unwrap_or(0)
-    }
-}
-
 /// Co-access table: for every word set that occurs as a subset of some
 /// workload query (bounded by `max_words`), the frequency mass of queries
-/// containing it.
+/// containing it, bucketed by query length.
+///
+/// Rows are flat: the set's row id `r` owns `acc[r * stride..][..stride]`,
+/// and slot `ℓ` of a row holds `acc_ge(L, ℓ)`. The stride is one more than
+/// the longest (clamped) workload query, so every slot a query can fill
+/// exists and any `ℓ` past the row reads 0.
 #[derive(Debug, Default)]
 pub(crate) struct AccTable {
-    map: HashMap<WordSet, LenHist, FxBuildHasher>,
+    rows: HashMap<WordSet, u32, FxBuildHasher>,
+    acc: Vec<u64>,
+    stride: usize,
+    /// The subset enumeration bounds the table was built with.
+    max_words: usize,
+    probe_cap: usize,
 }
 
 impl AccTable {
@@ -64,7 +62,15 @@ impl AccTable {
     /// capped at `probe_cap` per query — mirroring the query-time cutoff)
     /// and accumulate frequencies.
     pub(crate) fn build(workload: &QueryWorkload, max_words: usize, probe_cap: usize) -> Self {
-        let mut raw: HashMap<WordSet, Vec<u64>, FxBuildHasher> = HashMap::default();
+        let stride = workload
+            .queries()
+            .iter()
+            .map(|q| q.total_len.min(MAX_TRACKED_LEN))
+            .max()
+            .unwrap_or(0)
+            + 1;
+        let mut rows: HashMap<WordSet, u32, FxBuildHasher> = HashMap::default();
+        let mut acc: Vec<u64> = Vec::new();
         for q in workload.queries() {
             let len_bucket = q.total_len.min(MAX_TRACKED_LEN);
             let mut iter = q.set.subsets(max_words);
@@ -74,41 +80,51 @@ impl AccTable {
                     break;
                 }
                 probes += 1;
-                let hist = raw
-                    .entry(WordSet::from_sorted(subset.to_vec()))
-                    .or_insert_with(|| vec![0; MAX_TRACKED_LEN + 1]);
-                hist[len_bucket] += q.freq;
+                let row = match rows.get(subset) {
+                    Some(&row) => row,
+                    None => {
+                        let row = u32::try_from(rows.len()).expect("fewer than 2^32 word sets");
+                        rows.insert(WordSet::from_sorted(subset.to_vec()), row);
+                        acc.resize(acc.len() + stride, 0);
+                        row
+                    }
+                };
+                acc[row as usize * stride + len_bucket] += q.freq;
             }
         }
-        // Convert plain histograms to suffix sums.
-        let map = raw
-            .into_iter()
-            .map(|(set, hist)| {
-                let mut acc = hist;
-                for i in (0..MAX_TRACKED_LEN).rev() {
-                    acc[i] += acc[i + 1];
-                }
-                (set, LenHist { acc_ge: acc })
-            })
-            .collect();
-        AccTable { map }
+        // Turn each row's length histogram into suffix sums, in place.
+        for row in acc.chunks_exact_mut(stride) {
+            for i in (0..stride - 1).rev() {
+                row[i] += row[i + 1];
+            }
+        }
+        AccTable {
+            rows,
+            acc,
+            stride,
+            max_words,
+            probe_cap,
+        }
     }
 
-    pub(crate) fn get(&self, set: &WordSet) -> Option<&LenHist> {
-        self.map.get(set)
-    }
-
+    /// `acc(L)`: total frequency of workload queries containing `set`.
     pub(crate) fn acc_total(&self, set: &WordSet) -> u64 {
-        self.get(set).map_or(0, |h| h.acc_total())
+        self.acc_ge(set, 0)
     }
 
+    /// `acc_ge(L, len)`: frequency of workload queries containing `set`
+    /// with at least `len` words (`len` clamped to [`MAX_TRACKED_LEN`]).
     pub(crate) fn acc_ge(&self, set: &WordSet, len: usize) -> u64 {
-        self.get(set).map_or(0, |h| h.acc_ge(len))
+        let i = len.min(MAX_TRACKED_LEN);
+        match self.rows.get(set) {
+            Some(&row) if i < self.stride => self.acc[row as usize * self.stride + i],
+            _ => 0,
+        }
     }
 
     #[allow(dead_code)] // used by optimizer diagnostics
     pub(crate) fn len(&self) -> usize {
-        self.map.len()
+        self.rows.len()
     }
 }
 
@@ -143,25 +159,25 @@ pub struct MappingCost {
 
 /// Evaluate `Cost(WL, M)` for `groups` under `mapping`.
 ///
-/// `group_bytes[i]` is the encoded size of group `i`'s node entry;
-/// `group_len[i]` is its word count.
+/// `group_bytes[i]` is the encoded size of group `i`'s node entry. `acc`
+/// must be [`AccTable::build`] of the same `workload`; its subset bounds
+/// price the hash probes too. Callers that price several mappings build
+/// the table once.
 pub(crate) fn evaluate_mapping(
     group_words: &[WordSet],
     group_bytes: &[usize],
     mapping: &Mapping,
     workload: &QueryWorkload,
+    acc: &AccTable,
     cost: &CostModel,
-    max_words: usize,
-    probe_cap: usize,
 ) -> MappingCost {
     assert_eq!(group_words.len(), group_bytes.len());
-    let acc = AccTable::build(workload, max_words, probe_cap);
 
     // Cost_Hash: each query pays (subset lookups) probes, each a random
     // access reading mem_hash bytes.
     let mut hash_cost = 0.0;
     for q in workload.queries() {
-        let lookups = subset_count(q.total_len, max_words).min(probe_cap as u64);
+        let lookups = subset_count(q.total_len, acc.max_words).min(acc.probe_cap as u64);
         hash_cost +=
             q.freq as f64 * lookups as f64 * (cost.cost_random + cost.cost_scan(SLOT_BYTES));
     }
@@ -261,7 +277,8 @@ mod tests {
             scan_base: 0.0,
             scan_byte: 1.0,
         };
-        let mc = evaluate_mapping(&groups, &bytes, &mapping, &workload, &cost, 8, 1 << 20);
+        let acc = AccTable::build(&workload, 8, 1 << 20);
+        let mc = evaluate_mapping(&groups, &bytes, &mapping, &workload, &acc, &cost);
         // Hash: 3 subsets * (100 + 16) * 10.
         assert!((mc.breakdown.hash_cost - 10.0 * 3.0 * 116.0).abs() < 1e-6);
         // Nodes: both visited 10x => 2 * 10 * 100 random + scans 10*(50+80).
@@ -280,8 +297,9 @@ mod tests {
 
         let identity = Mapping::identity(&groups);
         let merged = Mapping::new(vec![ws(&[1]), ws(&[1])]);
-        let c_id = evaluate_mapping(&groups, &bytes, &identity, &workload, &cost, 8, 1 << 20);
-        let c_mg = evaluate_mapping(&groups, &bytes, &merged, &workload, &cost, 8, 1 << 20);
+        let acc = AccTable::build(&workload, 8, 1 << 20);
+        let c_id = evaluate_mapping(&groups, &bytes, &identity, &workload, &acc, &cost);
+        let c_mg = evaluate_mapping(&groups, &bytes, &merged, &workload, &acc, &cost);
         assert!(
             c_mg.breakdown.node_cost < c_id.breakdown.node_cost,
             "merged {} !< identity {}",
@@ -305,8 +323,131 @@ mod tests {
 
         let identity = Mapping::identity(&groups);
         let merged = Mapping::new(vec![ws(&[2]), ws(&[2])]);
-        let c_id = evaluate_mapping(&groups, &bytes, &identity, &workload, &cost, 8, 1 << 20);
-        let c_mg = evaluate_mapping(&groups, &bytes, &merged, &workload, &cost, 8, 1 << 20);
+        let acc = AccTable::build(&workload, 8, 1 << 20);
+        let c_id = evaluate_mapping(&groups, &bytes, &identity, &workload, &acc, &cost);
+        let c_mg = evaluate_mapping(&groups, &bytes, &merged, &workload, &acc, &cost);
         assert!(c_mg.breakdown.node_cost > c_id.breakdown.node_cost);
+    }
+
+    #[test]
+    fn acc_ge_past_the_longest_query_reads_zero() {
+        // Longest query has 3 words, so rows have 4 slots (0..=3).
+        let workload = wl(&[(&[1, 2, 3], 10), (&[1, 2], 5)]);
+        let acc = AccTable::build(&workload, 3, 1 << 20);
+        assert_eq!(acc.stride, 4);
+        assert_eq!(acc.acc_ge(&ws(&[1]), 3), 10, "at the longest query");
+        for len in [4, 5, MAX_TRACKED_LEN, MAX_TRACKED_LEN + 1, 1000] {
+            assert_eq!(acc.acc_ge(&ws(&[1]), len), 0, "len {len}");
+            assert_eq!(acc.acc_ge(&ws(&[1, 2, 3]), len), 0, "len {len}");
+        }
+    }
+
+    #[test]
+    fn lengths_past_max_tracked_len_clamp() {
+        // 40 folded words, 2 of them known: counts as MAX_TRACKED_LEN long.
+        let mut workload = wl(&[(&[1], 3)]);
+        workload.push(WeightedQuery {
+            set: ws(&[1, 2]),
+            total_len: 40,
+            freq: 7,
+        });
+        let acc = AccTable::build(&workload, 2, 1 << 20);
+        assert_eq!(acc.stride, MAX_TRACKED_LEN + 1);
+        assert_eq!(acc.acc_total(&ws(&[1])), 10);
+        assert_eq!(acc.acc_ge(&ws(&[1]), 2), 7);
+        assert_eq!(acc.acc_ge(&ws(&[1]), MAX_TRACKED_LEN), 7);
+        // Any longer length clamps to MAX_TRACKED_LEN, as entry lengths do.
+        assert_eq!(acc.acc_ge(&ws(&[1]), MAX_TRACKED_LEN + 1), 7);
+        assert_eq!(acc.acc_ge(&ws(&[1, 2]), 40), 7);
+    }
+
+    #[test]
+    fn probe_cap_counts_only_the_first_subsets() {
+        // Enumeration is by size, then lexicographic: {1}, {2}, {3}, {1,2}...
+        let workload = wl(&[(&[1, 2, 3], 4)]);
+        let acc = AccTable::build(&workload, 3, 2);
+        assert_eq!(acc.len(), 2);
+        assert_eq!(acc.acc_total(&ws(&[1])), 4);
+        assert_eq!(acc.acc_total(&ws(&[2])), 4);
+        assert_eq!(acc.acc_total(&ws(&[3])), 0);
+        assert_eq!(acc.acc_total(&ws(&[1, 2])), 0);
+        // The cap also bounds the priced hash probes.
+        let groups = vec![ws(&[1])];
+        let mapping = Mapping::identity(&groups);
+        let cost = CostModel {
+            cost_random: 1.0,
+            scan_base: 0.0,
+            scan_byte: 0.0,
+        };
+        let mc = evaluate_mapping(&groups, &[10], &mapping, &workload, &acc, &cost);
+        assert_eq!(mc.breakdown.hash_cost, 4.0 * 2.0);
+    }
+
+    #[test]
+    fn shared_table_prices_like_modeled_cost() {
+        let mut builder = crate::IndexBuilder::with_config(crate::IndexConfig {
+            remap: crate::RemapMode::Full,
+            max_words: 2,
+            ..crate::IndexConfig::default()
+        });
+        for (i, phrase) in [
+            "red shoes",
+            "cheap red shoes",
+            "running shoes for men",
+            "shoes",
+            "red running shoes sale",
+        ]
+        .iter()
+        .enumerate()
+        {
+            builder
+                .add(phrase, crate::AdInfo::with_bid(i as u64, 10))
+                .unwrap();
+        }
+        let index = builder.build().unwrap();
+        let workload = QueryWorkload::from_texts(
+            index.vocab(),
+            [
+                ("red shoes", 9),
+                ("cheap red running shoes", 4),
+                ("shoes for men running fast today", 2),
+            ],
+        );
+        let acc = AccTable::build(
+            &workload,
+            index.stats().max_locator_len.max(1),
+            index.config().probe_cap,
+        );
+        let cost = &index.config().cost;
+        // Price another mapping on the same table first: sharing must not
+        // leave state behind.
+        let identity = Mapping::identity(index.group_words());
+        evaluate_mapping(
+            index.group_words(),
+            index.group_bytes(),
+            &identity,
+            &workload,
+            &acc,
+            cost,
+        );
+        let shared = evaluate_mapping(
+            index.group_words(),
+            index.group_bytes(),
+            index.mapping(),
+            &workload,
+            &acc,
+            cost,
+        );
+        let own = index.modeled_cost(&workload);
+        let bits = |c: &MappingCost| {
+            (
+                c.breakdown.hash_cost.to_bits(),
+                c.breakdown.node_cost.to_bits(),
+                c.expected_node_accesses.to_bits(),
+                c.nodes,
+            )
+        };
+        assert!(own.breakdown.node_cost > 0.0);
+        assert_eq!(bits(&shared), bits(&own));
     }
 }

@@ -4,7 +4,7 @@ use broadmatch_memcost::{AccessTracker, NullTracker};
 
 use crate::arena::Arena;
 use crate::build::IndexConfig;
-use crate::costmodel::{evaluate_mapping, MappingCost};
+use crate::costmodel::{evaluate_mapping, AccTable, MappingCost};
 use crate::directory::NodeDirectory;
 use crate::node::{scan_node, Codec, ScanScratch, ScanSummary};
 use crate::optimize::{Mapping, MappingStats};
@@ -614,14 +614,14 @@ impl BroadMatchIndex {
     /// Model-predicted `Cost(WL, M)` of this index's mapping for `workload`
     /// (Section V-A), without executing anything.
     pub fn modeled_cost(&self, workload: &QueryWorkload) -> MappingCost {
+        let acc = AccTable::build(workload, self.max_locator_len.max(1), self.config.probe_cap);
         evaluate_mapping(
             &self.group_words,
             &self.group_bytes,
             &self.mapping,
             workload,
+            &acc,
             &self.config.cost,
-            self.max_locator_len.max(1),
-            self.config.probe_cap,
         )
     }
 

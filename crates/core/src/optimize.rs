@@ -17,6 +17,7 @@
 use std::collections::HashMap;
 
 use broadmatch_memcost::CostModel;
+use broadmatch_setcover::CandidateSet;
 
 use crate::costmodel::AccTable;
 use crate::hash::FxBuildHasher;
@@ -197,12 +198,13 @@ fn standalone_weight(
 
 /// Candidate destination locators of a group: subsets of its words (size
 /// `1..=max_words`) that exist as another group's word set, plus its own
-/// word set when short enough. Sorted by ascending standalone weight,
-/// truncated to [`MAX_LOCATORS_PER_GROUP`].
+/// word set when short enough. Sorted by ascending standalone weight (a
+/// stable sort, so equal weights keep enumeration order), truncated to
+/// [`MAX_LOCATORS_PER_GROUP`].
 fn candidate_locators(
     g: usize,
     input: &OptimizerInput<'_>,
-    group_index: &HashMap<&WordSet, usize, FxBuildHasher>,
+    group_index: &HashMap<&[WordId], usize, FxBuildHasher>,
     acc: &AccTable,
 ) -> Vec<WordSet> {
     let meta = &input.groups[g];
@@ -220,9 +222,8 @@ fn candidate_locators(
         if subset.len() == meta.words.len() {
             continue; // identity handled above
         }
-        let set = WordSet::from_sorted(subset.to_vec());
-        if group_index.contains_key(&set) {
-            out.push(set);
+        if group_index.contains_key(subset) {
+            out.push(WordSet::from_sorted(subset.to_vec()));
         }
     }
     if out.is_empty() {
@@ -232,13 +233,25 @@ fn candidate_locators(
             input.word_freq,
         ));
     }
-    out.sort_by(|a, b| {
-        let wa = standalone_weight(a, meta.words.len(), meta.bytes, acc, input.cost);
-        let wb = standalone_weight(b, meta.words.len(), meta.bytes, acc, input.cost);
-        wa.partial_cmp(&wb).expect("finite weights")
-    });
-    out.truncate(MAX_LOCATORS_PER_GROUP);
-    out
+    let mut keyed: Vec<(f64, WordSet)> = out
+        .into_iter()
+        .map(|l| {
+            let w = standalone_weight(&l, meta.words.len(), meta.bytes, acc, input.cost);
+            (w, l)
+        })
+        .collect();
+    keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite weights"));
+    keyed.truncate(MAX_LOCATORS_PER_GROUP);
+    keyed.into_iter().map(|(_, l)| l).collect()
+}
+
+/// Every group's word set, for probing by borrowed subset slices.
+fn group_index<'a>(groups: &[GroupMeta<'a>]) -> HashMap<&'a [WordId], usize, FxBuildHasher> {
+    groups
+        .iter()
+        .enumerate()
+        .map(|(i, g)| (g.words.ids(), i))
+        .collect()
 }
 
 /// The *long-only* strategy (Fig. 10 variant (b)): groups short enough to be
@@ -247,12 +260,7 @@ fn candidate_locators(
 /// inserting new ads at runtime (Section VI, maintenance).
 pub(crate) fn remap_long_only(input: &OptimizerInput<'_>) -> Mapping {
     let acc = AccTable::build(input.workload, input.max_words, input.probe_cap);
-    let group_index: HashMap<&WordSet, usize, FxBuildHasher> = input
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (g.words, i))
-        .collect();
+    let group_index = group_index(input.groups);
 
     let locators = input
         .groups
@@ -282,12 +290,7 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
     }
     let started = std::time::Instant::now();
     let acc = AccTable::build(input.workload, input.max_words, input.probe_cap);
-    let group_index: HashMap<&WordSet, usize, FxBuildHasher> = input
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (g.words, i))
-        .collect();
+    let group_index = group_index(input.groups);
 
     // Per-group standalone cost at its best locator (for the §V-B pruning).
     let mut best_locators: Vec<Vec<WordSet>> = Vec::with_capacity(n);
@@ -298,7 +301,7 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
             &cands[0],
             input.groups[g].words.len(),
             input.groups[g].bytes,
-            acc_ref(&acc),
+            &acc,
             input.cost,
         );
         standalone.push(best);
@@ -307,39 +310,21 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
 
     // Locator -> groups that can live there.
     let mut members: HashMap<&WordSet, Vec<usize>, FxBuildHasher> = HashMap::default();
-    let mut locator_store: Vec<WordSet> = Vec::new();
-    {
-        // Collect owned locators first so references stay stable.
-        let mut seen: HashMap<WordSet, usize, FxBuildHasher> = HashMap::default();
-        for cands in &best_locators {
-            for l in cands {
-                if !seen.contains_key(l) {
-                    seen.insert(l.clone(), locator_store.len());
-                    locator_store.push(l.clone());
-                }
-            }
-        }
-        for (g, cands) in best_locators.iter().enumerate() {
-            for l in cands {
-                let idx = seen[l];
-                members.entry(&locator_store[idx]).or_default().push(g);
-            }
+    for (g, cands) in best_locators.iter().enumerate() {
+        for l in cands {
+            members.entry(l).or_default().push(g);
         }
     }
 
     // Build the candidate family: for each locator, nested prefixes of its
     // members ordered by marginal scan weight, pruned by the paper's
-    // "cheaper alone" rule, plus singletons for guaranteed coverage.
-    let mut candidates: Vec<broadmatch_setcover::CandidateSet> = Vec::new();
-    let mut tags: Vec<(usize, Vec<usize>)> = Vec::new(); // (locator idx, groups)
-    let locator_idx: HashMap<&WordSet, usize, FxBuildHasher> = locator_store
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (l, i))
-        .collect();
-
-    for (locator, group_list) in &members {
-        let li = locator_idx[*locator];
+    // "cheaper alone" rule, plus singletons for guaranteed coverage. A
+    // candidate's tag is its locator's index in `locator_store`.
+    let mut candidates: Vec<CandidateSet> = Vec::new();
+    let mut locator_store: Vec<&WordSet> = Vec::with_capacity(members.len());
+    for (&locator, group_list) in &members {
+        let li = locator_store.len();
+        locator_store.push(locator);
         let base = acc.acc_total(locator) as f64 * input.cost.cost_random;
         // Marginal scan weight of each member at this locator (equation (2)
         // charges Cost_Scan per stored entry).
@@ -354,43 +339,28 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
         scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
 
         // The locator's owner group (if any) anchors every prefix.
-        let owner = group_index.get(*locator).copied();
-        let mut prefix: Vec<usize> = Vec::new();
+        let owner = group_index.get(locator.ids()).copied();
+        let mut prefix: Vec<u32> = Vec::new();
         let mut weight = base;
         if let Some(o) = owner {
             let m = acc.acc_ge(locator, input.groups[o].words.len()) as f64
                 * input.cost.cost_scan(input.groups[o].bytes);
-            prefix.push(o);
+            prefix.push(o as u32);
             weight += m;
-            candidates.push(broadmatch_setcover::CandidateSet::new(
-                prefix.iter().map(|&g| g as u32).collect(),
-                weight,
-                tags.len() as u64,
-            ));
-            tags.push((li, prefix.clone()));
+            candidates.push(CandidateSet::new(prefix.clone(), weight, li as u64));
         }
         for &(m, g) in &scored {
             if Some(g) == owner {
                 continue;
             }
             // Singleton candidate: g alone at this locator.
-            candidates.push(broadmatch_setcover::CandidateSet::new(
-                vec![g as u32],
-                base + m,
-                tags.len() as u64,
-            ));
-            tags.push((li, vec![g]));
+            candidates.push(CandidateSet::new(vec![g as u32], base + m, li as u64));
 
             // Grow the prefix unless the §V-B rule says g is cheaper alone.
             if prefix.len() < MAX_NODE_GROUPS && m < standalone[g] {
-                prefix.push(g);
+                prefix.push(g as u32);
                 weight += m;
-                candidates.push(broadmatch_setcover::CandidateSet::new(
-                    prefix.iter().map(|&g| g as u32).collect(),
-                    weight,
-                    tags.len() as u64,
-                ));
-                tags.push((li, prefix.clone()));
+                candidates.push(CandidateSet::new(prefix.clone(), weight, li as u64));
             }
         }
     }
@@ -408,12 +378,13 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
     // correctness does not depend on).
     let mut assigned: Vec<Option<usize>> = vec![None; n]; // locator idx per group
     for &ci in &solution.chosen {
-        let (li, ref groups) = tags[ci];
-        for &g in groups {
-            let is_owner = group_index.get(&locator_store[li]).is_some_and(|&o| o == g);
+        let li = candidates[ci].tag as usize;
+        let owner = group_index.get(locator_store[li].ids()).copied();
+        for &g in &candidates[ci].elements {
+            let g = g as usize;
             match assigned[g] {
                 None => assigned[g] = Some(li),
-                Some(_) if is_owner => assigned[g] = Some(li),
+                Some(_) if owner == Some(g) => assigned[g] = Some(li),
                 Some(_) => {}
             }
         }
@@ -450,18 +421,16 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
         &group_bytes,
         &optimized,
         input.workload,
+        &acc,
         input.cost,
-        input.max_words,
-        input.probe_cap,
     );
     let c_base = crate::costmodel::evaluate_mapping(
         &group_words,
         &group_bytes,
         &baseline,
         input.workload,
+        &acc,
         input.cost,
-        input.max_words,
-        input.probe_cap,
     );
     let kept_baseline = c_opt.breakdown.node_cost > c_base.breakdown.node_cost;
     crate::telemetry::record_remap_run(
@@ -476,11 +445,6 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
     } else {
         optimized
     }
-}
-
-/// Identity helper so the borrow checker sees a reborrow, not a move.
-fn acc_ref(acc: &AccTable) -> &AccTable {
-    acc
 }
 
 #[cfg(test)]
@@ -703,17 +667,10 @@ mod tests {
             let full = remap_full(&input, true);
             full.validate(&sets, 8, false).unwrap();
             let identity = Mapping::identity(&sets);
-            let c_full =
-                evaluate_mapping(&sets, &bytes, &full, &workload, &CostModel::dram(), 8, 4096);
-            let c_id = evaluate_mapping(
-                &sets,
-                &bytes,
-                &identity,
-                &workload,
-                &CostModel::dram(),
-                8,
-                4096,
-            );
+            let acc = AccTable::build(&workload, 8, 4096);
+            let cost = CostModel::dram();
+            let c_full = evaluate_mapping(&sets, &bytes, &full, &workload, &acc, &cost);
+            let c_id = evaluate_mapping(&sets, &bytes, &identity, &workload, &acc, &cost);
             assert!(
                 c_full.breakdown.node_cost <= c_id.breakdown.node_cost + 1e-6,
                 "optimized node cost {} exceeds identity {}",

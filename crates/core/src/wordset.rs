@@ -1,5 +1,7 @@
 //! Canonical word sets and bounded subset enumeration (Section IV-B).
 
+use std::borrow::Borrow;
+
 use crate::{wordhash, WordId};
 
 /// A canonical (sorted, duplicate-free) set of word ids — the paper's
@@ -84,6 +86,16 @@ impl WordSet {
     /// `1..=max_subset_len`, as sorted id vectors. See [`SubsetIter`].
     pub fn subsets(&self, max_subset_len: usize) -> SubsetIter<'_> {
         SubsetIter::new(&self.0, max_subset_len)
+    }
+}
+
+/// Lets a map keyed by `WordSet` be probed with a borrowed subset slice (as
+/// [`SubsetIter::next_subset`] yields) without allocating a key. The derived
+/// `Hash`, `Eq` and `Ord` of the one-field tuple struct are those of its
+/// `Box<[WordId]>`, which equal those of `[WordId]`.
+impl Borrow<[WordId]> for WordSet {
+    fn borrow(&self) -> &[WordId] {
+        &self.0
     }
 }
 
@@ -331,5 +343,16 @@ mod tests {
             assert!(seen.insert(sub.clone()), "duplicate subset");
         }
         assert_eq!(all.len(), 31);
+    }
+
+    #[test]
+    fn map_keyed_by_word_set_is_probed_by_slice() {
+        let mut map: std::collections::HashMap<WordSet, u32, crate::hash::FxBuildHasher> =
+            std::collections::HashMap::default();
+        map.insert(ws(&[3, 7]), 1);
+        map.insert(ws(&[3]), 2);
+        assert_eq!(map.get([WordId(3), WordId(7)].as_slice()), Some(&1));
+        assert_eq!(map.get([WordId(3)].as_slice()), Some(&2));
+        assert_eq!(map.get([WordId(7)].as_slice()), None);
     }
 }

@@ -94,11 +94,23 @@ pub fn greedy_cover(
     validate_weights(candidates)?;
     check_coverable(universe, candidates)?;
 
+    // One mark per element, all false between uses: counting a set's
+    // distinct uncovered elements marks each once, then clears the marks.
+    // Sized to the largest element named, not only the universe, because
+    // `check_coverable` tolerates elements outside it.
+    let mark_len = candidates
+        .iter()
+        .flat_map(|c| c.elements.iter())
+        .map(|&e| e as usize + 1)
+        .max()
+        .unwrap_or(0)
+        .max(universe as usize);
+    let mut marks = vec![false; mark_len];
     let mut covered = vec![false; universe as usize];
     let mut covered_count = 0u32;
     let mut heap = BinaryHeap::with_capacity(candidates.len());
     for (i, c) in candidates.iter().enumerate() {
-        let distinct = distinct_count(&c.elements);
+        let distinct = count_distinct(&c.elements, &mut marks, |_| false);
         if distinct > 0 {
             heap.push(Entry {
                 price: c.weight / distinct as f64,
@@ -113,12 +125,7 @@ pub fn greedy_cover(
     while covered_count < universe {
         let entry = heap.pop().expect("coverable instance cannot exhaust heap");
         let c = &candidates[entry.idx];
-        let fresh = c
-            .elements
-            .iter()
-            .filter(|&&e| !covered[e as usize])
-            .collect::<std::collections::BTreeSet<_>>()
-            .len();
+        let fresh = count_distinct(&c.elements, &mut marks, |e| covered[e]);
         if fresh == 0 {
             continue;
         }
@@ -149,11 +156,22 @@ pub fn greedy_cover(
     })
 }
 
-fn distinct_count(elements: &[u32]) -> usize {
-    let mut v: Vec<u32> = elements.to_vec();
-    v.sort_unstable();
-    v.dedup();
-    v.len()
+/// Number of distinct elements `e` in `elements` with `!skip(e)`, counted
+/// without allocating: each is marked on first sight and every mark is
+/// cleared again before returning. `marks` must be all false on entry.
+fn count_distinct(elements: &[u32], marks: &mut [bool], skip: impl Fn(usize) -> bool) -> usize {
+    let mut count = 0;
+    for &e in elements {
+        let e = e as usize;
+        if !marks[e] && !skip(e) {
+            marks[e] = true;
+            count += 1;
+        }
+    }
+    for &e in elements {
+        marks[e as usize] = false;
+    }
+    count
 }
 
 /// Greedy cover followed by *withdrawal steps* — the local improvement the
@@ -420,5 +438,72 @@ mod tests {
         let sol = greedy_cover(3, &candidates).unwrap();
         assert_eq!(sol.total_weight, 0.0);
         assert_eq!(sol.chosen, vec![0]);
+    }
+
+    /// Textbook eager greedy: every round rescans every set, takes the
+    /// lowest price `weight / #distinct uncovered elements`, ties to the
+    /// lowest index.
+    fn eager_greedy(universe: u32, candidates: &[CandidateSet]) -> Vec<usize> {
+        let mut covered = vec![false; universe as usize];
+        let mut chosen = Vec::new();
+        while covered.iter().any(|&c| !c) {
+            let mut best: Option<(f64, usize)> = None;
+            for (i, c) in candidates.iter().enumerate() {
+                let fresh = dedup(&c.elements)
+                    .iter()
+                    .filter(|&&e| !covered[e as usize])
+                    .count();
+                if fresh == 0 {
+                    continue;
+                }
+                let price = c.weight / fresh as f64;
+                if best.is_none_or(|(p, _)| price < p) {
+                    best = Some((price, i));
+                }
+            }
+            let (_, i) = best.expect("coverable");
+            for &e in &candidates[i].elements {
+                covered[e as usize] = true;
+            }
+            chosen.push(i);
+        }
+        chosen
+    }
+
+    #[test]
+    fn lazy_greedy_chooses_exactly_what_eager_greedy_chooses() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rng = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for case in 0..300 {
+            let universe = 1 + rng(12) as u32;
+            let mut candidates: Vec<CandidateSet> = Vec::new();
+            for _ in 0..1 + rng(20) {
+                // Up to 6 draws from a small universe: duplicates are common.
+                let elements: Vec<u32> = (0..1 + rng(6))
+                    .map(|_| rng(universe as u64) as u32)
+                    .collect();
+                // Few distinct weights, including 0, so price ties happen.
+                let weight = [0.0, 1.0, 2.0, 3.0, 0.5][rng(5) as usize];
+                let tag = candidates.len() as u64;
+                candidates.push(CandidateSet::new(elements, weight, tag));
+            }
+            for e in 0..universe {
+                if !candidates.iter().any(|c| c.elements.contains(&e)) {
+                    candidates.push(CandidateSet::new(vec![e, e], 1.0, 99));
+                }
+            }
+            let lazy = greedy_cover(universe, &candidates).unwrap();
+            lazy.validate(universe, &candidates).unwrap();
+            assert_eq!(
+                lazy.chosen,
+                eager_greedy(universe, &candidates),
+                "case {case}: {candidates:?}"
+            );
+        }
     }
 }

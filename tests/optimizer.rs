@@ -46,6 +46,68 @@ fn mapping_invariants_hold_on_generated_corpora() {
     }
 }
 
+/// FNV-1a over the little-endian bytes of every group's locator `wordhash`,
+/// in group order: one number that changes if any group moves node.
+fn mapping_fingerprint(index: &sponsored_search::broadmatch::BroadMatchIndex) -> u64 {
+    let mapping = index.mapping();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for g in 0..mapping.len() {
+        for b in mapping.locator(g).hash().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The optimizer's layout is pinned: any change to candidate generation,
+/// weights, tie-breaking or the set-cover solver that moves a group or
+/// resizes the index shows here. Each row is (seed, mode, mapping
+/// fingerprint, arena + directory bytes).
+#[test]
+fn optimizer_layout_is_pinned() {
+    const PINNED: [(u64, RemapMode, u64, usize); 9] = [
+        (1, RemapMode::LongOnly, 0x97bef7fdacaedb51, 109332),
+        (1, RemapMode::Full, 0xdf5f1cab9ac13da6, 109332),
+        (
+            1,
+            RemapMode::FullWithWithdrawals,
+            0x64278f116a856268,
+            109332,
+        ),
+        (2, RemapMode::LongOnly, 0x06b1abfb4b1d3827, 108727),
+        (2, RemapMode::Full, 0x877983383fc9c4a1, 108727),
+        (
+            2,
+            RemapMode::FullWithWithdrawals,
+            0x99e74f4fe1634d9a,
+            108727,
+        ),
+        (3, RemapMode::LongOnly, 0xd1cbc753244a650c, 108596),
+        (3, RemapMode::Full, 0x85c17a15185d9f1f, 108596),
+        (
+            3,
+            RemapMode::FullWithWithdrawals,
+            0xd1cbc753244a650c,
+            108596,
+        ),
+    ];
+    let mut actual = Vec::new();
+    for &(seed, remap, _, _) in &PINNED {
+        let corpus = AdCorpus::generate(CorpusConfig::small(seed));
+        let workload = Workload::generate(QueryGenConfig::small(seed), &corpus);
+        let index = build_index(&corpus, &workload, remap, 4);
+        let stats = index.stats();
+        actual.push((
+            seed,
+            remap,
+            mapping_fingerprint(&index),
+            stats.arena_bytes + stats.directory_bytes,
+        ));
+    }
+    assert_eq!(actual, PINNED, "optimizer layout moved");
+}
+
 #[test]
 fn full_remap_model_cost_is_at_most_long_only() {
     let corpus = AdCorpus::generate(CorpusConfig::small(9));
