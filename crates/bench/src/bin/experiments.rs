@@ -19,9 +19,7 @@ experiment ids:
   fig8             bytes read vs corpus size             (Fig. 8)
   modified-bytes   modified-index data volume            (Sec. VII-A)
   multiserver      two-server deployment + latency dist  (Sec. VII-B, Fig. 9)
-  serve-throughput serving-runtime worker/client sweep + netsim calibration
   net-throughput   loopback TCP cluster vs netsim fan-out model
-  update-churn     online insert/delete + compaction latency (Sec. VI)
   cost-model-fit   predicted vs measured query cost      (Sec. IV-A; --tiny for smoke runs)
   fig10            re-mapping variants                   (Fig. 10)
   counters         simulated hardware counters           (Sec. VII-C)
@@ -80,9 +78,7 @@ fn main() {
             "fig8",
             "modified-bytes",
             "multiserver",
-            "serve-throughput",
             "net-throughput",
-            "update-churn",
             "cost-model-fit",
             "fig10",
             "counters",
@@ -125,14 +121,8 @@ fn main() {
             "multiserver" => {
                 multiserver::run(scale, seed);
             }
-            "serve-throughput" => {
-                serve_throughput::run(scale, seed);
-            }
             "net-throughput" => {
                 net_throughput::run(scale, seed);
-            }
-            "update-churn" => {
-                update_churn::run(scale, seed);
             }
             "cost-model-fit" => {
                 cost_model_fit::run(scale, seed, tiny);

@@ -248,7 +248,9 @@ mod tests {
             "broadmatch_cost_measured_ns_total",
             "broadmatch_cost_queries_total",
             "broadmatch_probes_total",
+            "broadmatch_nodes_scanned_total",
             "broadmatch_scan_bytes_total",
+            "broadmatch_remap_hits_total",
         ] {
             assert!(r.exposition.contains(family), "missing {family}");
         }

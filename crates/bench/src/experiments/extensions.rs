@@ -309,7 +309,7 @@ mod tests {
             // Real scaling is only observable with real cores.
             assert!(best > 1.5 * single, "parallel {best} vs single {single}");
         } else {
-            // Single/dual-core machines: sharding must at least not collapse.
+            // Single/dual-core machines: threads must at least not collapse.
             assert!(best > 0.4 * single, "parallel {best} vs single {single}");
         }
     }

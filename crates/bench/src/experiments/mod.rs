@@ -10,9 +10,7 @@
 //! | `fig8` | Fig. 8 bytes-read ratio vs corpus size | [`bytes::fig8`] |
 //! | `modified-bytes` | §VII-A modified-index data volume | [`bytes::modified_bytes`] |
 //! | `multiserver` | §VII-B + Fig. 9 | [`multiserver::run`] |
-//! | `serve-throughput` | serving-runtime worker×client sweep + netsim calibration | [`serve_throughput::run`] |
 //! | `net-throughput` | loopback TCP cluster vs netsim fan-out model | [`net_throughput::run`] |
-//! | `update-churn` | §VI online maintenance: latency under insert/delete + compaction | [`update_churn::run`] |
 //! | `cost-model-fit` | §IV-A predicted vs measured cost | [`cost_model_fit::run`] |
 //! | `fig10` | Fig. 10 re-mapping variants | [`remap::fig10`] |
 //! | `counters` | §VII-C hardware counters | [`counters::run`] |
@@ -30,6 +28,4 @@ pub mod extensions;
 pub mod multiserver;
 pub mod net_throughput;
 pub mod remap;
-pub mod serve_throughput;
 pub mod throughput;
-pub mod update_churn;

@@ -12,7 +12,7 @@ use crate::{Scale, Scenario};
 /// socket work) added to the measured retrieval time — present for every
 /// structure, it compresses raw retrieval-speed ratios into the
 /// service-time regime the paper's testbed saw.
-pub const OVERHEAD_MS: f64 = 0.15;
+const OVERHEAD_MS: f64 = 0.15;
 
 /// Simulation outcomes for both structures.
 #[derive(Debug, Clone)]

@@ -2,8 +2,7 @@
 //! scatter-gather router, every byte over TCP) measured against the
 //! netsim fan-out model of the *same* topology.
 //!
-//! The flow mirrors `serve-throughput`'s calibration loop one level up
-//! the stack: closed-loop clients replay a trace through
+//! Closed-loop clients replay a trace through
 //! [`broadmatch_net::Router::query`]; the measured per-backend service
 //! times and per-hop network latency then parameterize
 //! [`broadmatch_netsim::FanoutConfig`], and the simulator re-predicts

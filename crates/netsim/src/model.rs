@@ -32,34 +32,6 @@ impl ServiceDist {
         Self::from_samples(vec![ms])
     }
 
-    /// Build from fixed-width histogram bucket counts, each bucket
-    /// contributing its midpoint weighted by its count — the calibration
-    /// path from a measured serving-latency histogram (e.g. the per-shard
-    /// histograms `broadmatch-serve` collects in the same 5 ms buckets this
-    /// simulator reports) into the simulator. Prefer [`Self::from_samples`]
-    /// with raw measurements when they are available; midpoints quantize.
-    ///
-    /// # Panics
-    /// Panics if the counts are all zero or `bucket_ms` is non-positive.
-    pub fn from_bucket_counts(bucket_ms: f64, counts: &[u64]) -> Self {
-        assert!(bucket_ms > 0.0, "bucket width must be positive");
-        let total: u64 = counts.iter().sum();
-        assert!(total > 0, "need at least one recorded completion");
-        // Cap the pool so huge histograms don't inflate memory: scale counts
-        // down proportionally but keep every non-empty bucket represented.
-        let scale = (total as f64 / 4096.0).max(1.0);
-        let mut samples = Vec::new();
-        for (i, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let n = ((c as f64 / scale).round() as usize).max(1);
-            let midpoint = (i as f64 + 0.5) * bucket_ms;
-            samples.extend(std::iter::repeat_n(midpoint, n));
-        }
-        Self::from_samples(samples)
-    }
-
     /// Mean of the pool.
     pub fn mean(&self) -> f64 {
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
@@ -537,19 +509,6 @@ mod tests {
         for _ in 0..100 {
             let s = d.draw(&mut rng);
             assert!(s == 1.0 || s == 3.0);
-        }
-    }
-
-    #[test]
-    fn service_dist_from_bucket_counts() {
-        // Buckets of 5 ms: 3 completions in [0,5), 1 in [10,15).
-        let d = ServiceDist::from_bucket_counts(5.0, &[3, 0, 1]);
-        // Pool is {2.5, 2.5, 2.5, 12.5}: mean 5.0.
-        assert!((d.mean() - 5.0).abs() < 1e-9, "mean {}", d.mean());
-        let mut rng = Pcg32::seed_from_u64(1);
-        for _ in 0..100 {
-            let s = d.draw(&mut rng);
-            assert!(s == 2.5 || s == 12.5);
         }
     }
 }

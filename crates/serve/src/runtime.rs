@@ -616,7 +616,7 @@ impl ServeRuntime {
     /// roughly the time for them and this caller to drain through
     /// `n_workers` slots at the observed mean execution time.
     fn retry_after(&self, waiting: usize) -> Duration {
-        let mean_ms = self.inner.handles.exec_latency.snapshot().mean_ms();
+        let mean_ms = self.inner.handles.exec_latency.mean_ms();
         // Before any query is measured the hint still must not be zero.
         let per_query_ms = if mean_ms > 0.0 { mean_ms } else { 0.05 };
         let ms = (waiting + 1) as f64 * per_query_ms / self.config.n_workers as f64;
@@ -1100,9 +1100,42 @@ mod tests {
                 .hits;
             assert_eq!(hits.len(), 1, "ad {i} lost across compaction");
         }
+
+        // Drain the overlay so the compactor stays idle below, then leave
+        // one tombstone over a base ad and one live overlay insert, and
+        // query through both.
+        runtime.compact_now().unwrap();
+        assert_eq!(runtime.remove("talk talk", 4), 1);
+        runtime
+            .insert("gadget spare", AdInfo::with_bid(200, 10))
+            .unwrap();
+        let resp = runtime.query("talk talk", MatchType::Exact).unwrap();
+        assert!(resp.hits.is_empty(), "tombstoned base ad still served");
+        assert_eq!(resp.stats.tombstone_hits, 1);
+        let resp = runtime.query("gadget spare", MatchType::Exact).unwrap();
+        assert_eq!(resp.hits.len(), 1);
+        assert_eq!(resp.stats.overlay_hits, 1);
+
+        // Every maintenance family is exported, with the values above.
         let text = runtime.prometheus();
-        assert!(text.contains("broadmatch_compactions_total"));
-        assert!(text.contains("broadmatch_overlay_inserts_total 16"));
+        let value = |family: &str| -> f64 {
+            let prefix = format!("{family} ");
+            text.lines()
+                .find_map(|l| l.strip_prefix(&prefix))
+                .unwrap_or_else(|| panic!("missing {family} in exposition"))
+                .parse()
+                .unwrap()
+        };
+        assert_eq!(value("broadmatch_overlay_inserts_total"), 17.0);
+        assert_eq!(value("broadmatch_overlay_removes_total"), 1.0);
+        assert_eq!(value("broadmatch_overlay_ads"), 1.0);
+        assert_eq!(value("broadmatch_overlay_tombstones"), 1.0);
+        assert!(value("broadmatch_overlay_dead_bytes") > 0.0);
+        assert!(value("broadmatch_overlay_hits_total") >= 1.0);
+        assert!(value("broadmatch_compactions_total") >= 1.0);
+        assert!(value("broadmatch_compaction_duration_ms_count") >= 1.0);
+        assert!(value("broadmatch_compaction_ads_folded_total") >= 16.0);
+        assert_eq!(value("broadmatch_tombstone_hits_total"), 1.0);
     }
 
     #[test]

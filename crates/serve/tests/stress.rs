@@ -3,7 +3,10 @@
 //! response must be **bit-identical** to single-threaded execution against
 //! the snapshot version the response reports. Corpora are version-tagged
 //! (listing ids encode the snapshot version) so a torn read — hits mixing
-//! two snapshots — cannot go undetected.
+//! two snapshots — cannot go undetected. A last test checks that
+//! execution slots scale read throughput.
+
+mod common;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
@@ -224,5 +227,31 @@ fn derived_rebuilds_stay_queryable_and_consistent() {
         assert_eq!(resp.hits, expect.0);
         assert_eq!(resp.stats, expect.1);
         current = next;
+    }
+}
+
+/// Each query runs whole on its caller's thread behind the admission gate,
+/// so execution slots are what parallelism a runtime allows: 8 closed-loop
+/// clients through 4 slots must reach 1.5x the throughput they reach
+/// through 1. The bound needs at least 4 cores.
+#[test]
+fn execution_slots_scale_read_throughput() {
+    const CLIENTS: usize = 8;
+    let (index, _, trace) = common::scenario(20_000, 0, 3_000, 77);
+    let qps_through = |n_workers: usize| {
+        let config = ServeConfig {
+            n_workers,
+            ..ServeConfig::default()
+        };
+        let runtime = ServeRuntime::start(Arc::clone(&index), config);
+        common::closed_loop(&runtime, &trace, CLIENTS, |i| i >= trace.len()).0
+    };
+    let one_slot = qps_through(1);
+    let four_slots = qps_through(4);
+    if common::timing_cores_available() {
+        assert!(
+            four_slots >= 1.5 * one_slot,
+            "4-slot qps {four_slots:.0} vs 1-slot {one_slot:.0}"
+        );
     }
 }

@@ -162,8 +162,7 @@ impl LatencyHistogram {
         self.bucket_ms
     }
 
-    /// Per-bucket counts (last slot is overflow) — the exact shape
-    /// `broadmatch_netsim::ServiceDist::from_bucket_counts` consumes.
+    /// Per-bucket counts (last slot is overflow).
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }

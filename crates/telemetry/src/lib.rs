@@ -45,23 +45,29 @@ pub use trace::{
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     /// Satellite: N writer threads increment labeled counters while a
     /// reader snapshots; every snapshot must be internally consistent
     /// (counter <= writes issued so far is unobservable directly, but
     /// monotonicity across snapshots and the exact final total are).
+    /// Writers and reader start together behind one barrier, and the reader
+    /// leaves its loop only after a checked snapshot, so it runs at least
+    /// once however the host schedules the threads.
     #[test]
     fn concurrent_registry_snapshots_are_monotone_and_consistent() {
         const WRITERS: usize = 8;
         const INCS: u64 = 20_000;
         let registry = Arc::new(Registry::new());
         let stop = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(Barrier::new(WRITERS + 1));
 
         let writers: Vec<_> = (0..WRITERS)
             .map(|w| {
                 let registry = Arc::clone(&registry);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     let shard = format!("{}", w % 4);
                     let c = registry.counter(
                         "stress_ops_total",
@@ -82,11 +88,15 @@ mod tests {
         let reader = {
             let registry = Arc::clone(&registry);
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let mut last_total = 0u64;
                 let mut last_per_label = std::collections::BTreeMap::new();
                 let mut iterations = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                start.wait();
+                loop {
+                    // Read before the snapshot, so the last one sees every write.
+                    let done = stop.load(Ordering::Relaxed);
                     let snap = registry.snapshot();
                     let total = snap.counter_total("stress_ops_total");
                     assert!(
@@ -111,6 +121,9 @@ mod tests {
                         assert_eq!(sum, total);
                     }
                     iterations += 1;
+                    if done {
+                        break;
+                    }
                 }
                 iterations
             })

@@ -109,6 +109,16 @@ impl Histogram {
     pub fn snapshot(&self) -> LatencyHistogram {
         self.inner.lock().expect("histogram lock poisoned").clone()
     }
+
+    /// Mean observation in milliseconds (0 when empty), read under the
+    /// lock without cloning the buckets and reservoir as
+    /// [`Self::snapshot`] does.
+    pub fn mean_ms(&self) -> f64 {
+        self.inner
+            .lock()
+            .expect("histogram lock poisoned")
+            .mean_ms()
+    }
 }
 
 /// What kind of metric a family holds.
@@ -499,6 +509,19 @@ mod tests {
     #[should_panic(expected = "invalid metric name")]
     fn invalid_names_panic() {
         Registry::new().counter("9starts_with_digit", "bad", &[]);
+    }
+
+    #[test]
+    fn histogram_mean_matches_snapshot_mean() {
+        let r = Registry::new();
+        let h = r.histogram("lat_ms", "Latency", &[]);
+        assert_eq!(h.mean_ms(), 0.0, "empty histogram");
+        assert_eq!(h.mean_ms(), h.snapshot().mean_ms());
+        for ms in [0.25, 1.5, 7.0, 12.125] {
+            h.record(ms);
+            assert_eq!(h.mean_ms(), h.snapshot().mean_ms());
+        }
+        assert_eq!(h.mean_ms(), (0.25 + 1.5 + 7.0 + 12.125) / 4.0);
     }
 
     #[test]
