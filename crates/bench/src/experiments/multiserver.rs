@@ -65,16 +65,21 @@ pub fn simulate(hash_dist: ServiceDist, inv_dist: ServiceDist, seed: u64) -> Mul
     t.print();
     println!("paper: requests/s 2274 -> 5775, CPU 98% -> 42%, <10ms 32% -> 75%");
 
-    // Fig. 9: the latency distribution in 5 ms buckets.
-    println!("\nFig. 9: response latency distribution (fraction per 5 ms bucket)");
-    let mut t = Table::new(&["bucket_ms", "hash", "inverted"]);
-    let h = hash_report.latency.fractions();
-    let i = inv_report.latency.fractions();
-    for b in 0..h.len().max(i.len()).min(12) {
+    // Fig. 9: the latency distribution in 5 ms ranges, each the difference
+    // of two `fraction_below` calls, up to where both runs are complete.
+    println!("\nFig. 9: response latency distribution (fraction per 5 ms range)");
+    let mut t = Table::new(&["range_ms", "hash", "inverted"]);
+    let range = |r: &SimReport, b: usize| {
+        r.latency.fraction_below((b * 5 + 5) as f64) - r.latency.fraction_below((b * 5) as f64)
+    };
+    for b in (0..12).take_while(|&b| {
+        let lo = (b * 5) as f64;
+        hash_report.latency.fraction_below(lo) < 1.0 || inv_report.latency.fraction_below(lo) < 1.0
+    }) {
         t.row_owned(vec![
             format!("{}-{}", b * 5, b * 5 + 5),
-            format!("{:.3}", h.get(b).copied().unwrap_or(0.0)),
-            format!("{:.3}", i.get(b).copied().unwrap_or(0.0)),
+            format!("{:.3}", range(&hash_report, b)),
+            format!("{:.3}", range(&inv_report, b)),
         ]);
     }
     t.print();

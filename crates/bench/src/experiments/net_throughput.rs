@@ -37,6 +37,10 @@ const BACKEND_WORKERS: usize = 2;
 /// Concurrent closed-loop clients driving the router.
 const N_CLIENTS: usize = 8;
 
+/// Quantiles of each backend's execution-latency histogram that seed the
+/// model's service-time distribution.
+const SERVICE_QUANTILES: usize = 1_000;
+
 /// Measured cluster behaviour vs the fan-out model's prediction.
 #[derive(Debug, Clone)]
 pub struct NetThroughputReport {
@@ -194,21 +198,27 @@ pub fn run(scale: Scale, seed: u64) -> NetThroughputReport {
     // ORDER: Relaxed — final single-threaded readback after the scope joins.
     let degraded = degraded.load(Relaxed);
 
-    // Service-time calibration: what one backend's *worker pool* spends
-    // per query, measured under the real concurrent load (the serve
-    // histogram covers plan → gather inside the runtime). The wire
-    // encode/decode and connection-handler time around it — per-backend
-    // RTT minus two hops minus serve time — is spent in per-connection
-    // threads, which scale with connections rather than with the worker
-    // pool, so it belongs in the model's hop term, not in the station
-    // service time: folding it into service would wrongly cap modeled
-    // capacity at workers / (service + wire).
+    // Service-time calibration: what one backend's execution slot spends
+    // per query, measured under the real concurrent load. The station's
+    // service time is `exec_latency` (admission → finish, wait excluded);
+    // the model adds its own queueing, so seeding it with the wait-included
+    // `query_latency` would count the wait twice. Each backend's histogram
+    // is sampled at evenly spaced quantiles. The wire encode/decode and
+    // connection-handler time around the runtime — per-backend RTT minus
+    // two hops minus the runtime's whole `query_latency` — is spent in
+    // per-connection threads, which scale with connections rather than
+    // with the execution slots, so it belongs in the model's hop term, not
+    // in the station service time: folding it into service would wrongly
+    // cap modeled capacity at workers / (service + wire).
     let mut service_samples = Vec::new();
     let mut serve_mean_sum = 0.0;
     for b in &backends {
         let m = b.runtime().metrics();
         serve_mean_sum += m.query_latency.mean_ms();
-        service_samples.extend_from_slice(m.query_latency.samples());
+        service_samples.extend((1..=SERVICE_QUANTILES).map(|i| {
+            m.exec_latency
+                .percentile_ms((i as f64 - 0.5) / SERVICE_QUANTILES as f64)
+        }));
     }
     let serve_mean = serve_mean_sum / backends.len() as f64;
     let backend_rtt_mean = {
@@ -232,13 +242,14 @@ pub fn run(scale: Scale, seed: u64) -> NetThroughputReport {
     };
     let hop_mean = hop_floor_ms + hop_jitter_ms;
     let wire_overhead_ms = (backend_rtt_mean - 2.0 * hop_mean - serve_mean).max(0.0);
-    let service = ServiceDist::from_samples(service_samples.clone());
+    let service = ServiceDist::from_samples(service_samples);
     println!(
-        "service calibration: {:.3} ms mean serve time from {} samples; \
+        "service calibration: {:.3} ms mean exec time from {SERVICE_QUANTILES} \
+         histogram quantiles per backend ({serve_mean:.3} ms mean in the runtime, \
+         wait included); \
          {wire_overhead_ms:.3} ms per-leg wire overhead (backend RTT mean \
          {backend_rtt_mean:.3} ms) folded into the hop term",
-        serve_mean,
-        service_samples.len()
+        service.mean()
     );
 
     // The predicted leg: same topology through the fan-out model. Each
@@ -266,15 +277,15 @@ pub fn run(scale: Scale, seed: u64) -> NetThroughputReport {
     t.row_owned(vec![
         "predicted @ measured rate".into(),
         fi(measured_qps),
-        format!("{:.3}", at_measured_rate.latency.percentile(0.50)),
-        format!("{:.3}", at_measured_rate.latency.percentile(0.99)),
+        format!("{:.3}", at_measured_rate.latency.percentile_ms(0.50)),
+        format!("{:.3}", at_measured_rate.latency.percentile_ms(0.99)),
         format!("{:.3}", at_measured_rate.mean_latency_ms),
     ]);
     t.row_owned(vec![
         "predicted @ saturation".into(),
         fi(saturated.throughput_qps),
-        format!("{:.3}", saturated.latency.percentile(0.50)),
-        format!("{:.3}", saturated.latency.percentile(0.99)),
+        format!("{:.3}", saturated.latency.percentile_ms(0.50)),
+        format!("{:.3}", saturated.latency.percentile_ms(0.99)),
         format!("{:.3}", saturated.mean_latency_ms),
     ]);
     t.print();
@@ -289,8 +300,8 @@ pub fn run(scale: Scale, seed: u64) -> NetThroughputReport {
         measured_qps,
         measured_p50_ms: routed_latency.percentile_ms(0.50),
         measured_p99_ms: routed_latency.percentile_ms(0.99),
-        predicted_p50_ms: at_measured_rate.latency.percentile(0.50),
-        predicted_p99_ms: at_measured_rate.latency.percentile(0.99),
+        predicted_p50_ms: at_measured_rate.latency.percentile_ms(0.50),
+        predicted_p99_ms: at_measured_rate.latency.percentile_ms(0.99),
         predicted_qps: saturated.throughput_qps,
         hedges,
         timeouts,
@@ -308,9 +319,12 @@ mod tests {
         assert!(r.measured_qps > 0.0, "cluster served the trace");
         assert!(r.measured_p50_ms >= 0.0 && r.measured_p99_ms >= r.measured_p50_ms);
         assert!(r.predicted_qps > 0.0, "model produced a capacity estimate");
+        // Percentiles resolve µs, so the model's latency spread shows.
         assert!(
-            r.predicted_p99_ms >= r.predicted_p50_ms,
-            "model percentiles ordered"
+            r.predicted_p50_ms < r.predicted_p99_ms,
+            "model p50 {} < p99 {}",
+            r.predicted_p50_ms,
+            r.predicted_p99_ms
         );
         // A healthy loopback cluster may hedge stragglers but must not
         // lose shards outright.

@@ -3,9 +3,9 @@
 //! Backends register into the *embedded runtime's* registry, so one
 //! `Metrics` frame (or `ServeRuntime::prometheus`) exposes the serve and
 //! net families together. The router keeps its own registry (it has no
-//! runtime) with per-backend latency histograms in the same 5 ms netsim
-//! bucket geometry as `serve_query_latency_ms` — measured cluster
-//! latencies feed straight into the capacity-model comparison.
+//! runtime) with per-backend latency histograms of the same log-linear
+//! type as `serve_query_latency_ms` and netsim's reports — measured
+//! cluster latencies feed straight into the capacity-model comparison.
 
 use std::sync::Arc;
 
@@ -80,9 +80,9 @@ pub struct RouterMetrics {
     pub hedges_total: Arc<Counter>,
     /// Responses returned with the degraded flag set.
     pub degraded_total: Arc<Counter>,
-    /// End-to-end routed query latency (netsim bucket geometry).
+    /// End-to-end routed query latency.
     pub query_latency: Arc<Histogram>,
-    /// Per-backend round-trip latency (netsim bucket geometry).
+    /// Per-backend round-trip latency.
     pub backend_latency: Vec<Arc<Histogram>>,
     /// Per-backend failures (connect/transport/decode, not overload).
     pub backend_failures: Vec<Arc<Counter>>,

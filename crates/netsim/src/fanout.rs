@@ -22,9 +22,10 @@
 //! so the gap is attributable.
 
 use broadmatch_rng::{Pcg32, RandomSource};
+use broadmatch_telemetry::LatencyHistogram;
 
 use crate::des::EventQueue;
-use crate::model::{LatencyHistogram, ServiceDist, Station};
+use crate::model::{ServiceDist, Station};
 
 /// Configuration of a fan-out deployment.
 #[derive(Debug, Clone)]
@@ -54,7 +55,7 @@ pub struct FanoutReport {
     pub backend_cpu_util: f64,
     /// Mean end-to-end latency, ms.
     pub mean_latency_ms: f64,
-    /// End-to-end latency distribution (5 ms buckets, as Fig. 9).
+    /// End-to-end latency distribution.
     pub latency: LatencyHistogram,
 }
 
@@ -102,7 +103,7 @@ pub fn run_fanout(config: &FanoutConfig, arrival_qps: f64, n_queries: u32) -> Fa
         .map(|_| Station::new(config.backend_workers))
         .collect();
     let mut legs_left = vec![config.n_backends as u16; n_queries as usize];
-    let mut latency = LatencyHistogram::new(5.0);
+    let mut latency = LatencyHistogram::new();
     let mut completed = 0u64;
     let mut total_latency = 0.0;
     let mut last_completion = 0.0f64;

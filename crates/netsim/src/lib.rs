@@ -34,4 +34,4 @@ mod model;
 pub use des::EventQueue;
 pub use fanout::{run_fanout, saturate_fanout, FanoutConfig, FanoutReport};
 pub use model::{run_simulation, saturate};
-pub use model::{LatencyHistogram, ServiceDist, SimReport, TwoServerConfig};
+pub use model::{ServiceDist, SimReport, TwoServerConfig};

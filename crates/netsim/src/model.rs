@@ -1,6 +1,7 @@
 //! The two-server queueing model and its reports.
 
 use broadmatch_rng::{Pcg32, RandomSource};
+use broadmatch_telemetry::LatencyHistogram;
 
 use crate::des::EventQueue;
 
@@ -77,75 +78,6 @@ impl TwoServerConfig {
     }
 }
 
-/// Latency histogram over fixed-width buckets — Fig. 9 divides "the spread
-/// of query latencies into ranges of 5 ms".
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    /// Bucket width in ms.
-    pub bucket_ms: f64,
-    /// `counts[i]` = completions with latency in `[i*w, (i+1)*w)`.
-    pub counts: Vec<u64>,
-}
-
-impl LatencyHistogram {
-    pub(crate) fn new(bucket_ms: f64) -> Self {
-        LatencyHistogram {
-            bucket_ms,
-            counts: Vec::new(),
-        }
-    }
-
-    pub(crate) fn record(&mut self, latency_ms: f64) {
-        let b = (latency_ms / self.bucket_ms) as usize;
-        if self.counts.len() <= b {
-            self.counts.resize(b + 1, 0);
-        }
-        self.counts[b] += 1;
-    }
-
-    /// Total completions recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Fraction of completions with latency strictly below `ms` (bucket
-    /// granularity).
-    pub fn fraction_below(&self, ms: f64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let buckets = (ms / self.bucket_ms) as usize;
-        let below: u64 = self.counts.iter().take(buckets).sum();
-        below as f64 / total as f64
-    }
-
-    /// Fractions per bucket, for plotting (the Fig. 9 series).
-    pub fn fractions(&self) -> Vec<f64> {
-        let total = self.total().max(1) as f64;
-        self.counts.iter().map(|&c| c as f64 / total).collect()
-    }
-
-    /// Latency below which fraction `p` (in `[0, 1]`) of completions fall,
-    /// at bucket granularity (upper edge of the containing bucket).
-    pub fn percentile(&self, p: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&p), "percentile must be in [0, 1]");
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (p * total as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return (i as f64 + 1.0) * self.bucket_ms;
-            }
-        }
-        self.counts.len() as f64 * self.bucket_ms
-    }
-}
-
 /// Results of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -159,7 +91,8 @@ pub struct SimReport {
     pub ad_cpu_util: f64,
     /// Mean end-to-end latency, ms.
     pub mean_latency_ms: f64,
-    /// End-to-end latency distribution (5 ms buckets).
+    /// End-to-end latency distribution; Fig. 9's 5 ms ranges are
+    /// differences of [`LatencyHistogram::fraction_below`].
     pub latency: LatencyHistogram,
 }
 
@@ -260,7 +193,7 @@ pub fn run_simulation(config: &TwoServerConfig, arrival_qps: f64, n_queries: u32
 
     let mut index = Station::new(config.index_workers);
     let mut ad = Station::new(config.ad_workers);
-    let mut latency = LatencyHistogram::new(5.0);
+    let mut latency = LatencyHistogram::new();
     let mut completed = 0u64;
     let mut total_latency = 0.0;
     let mut last_completion = 0.0f64;
@@ -461,28 +394,11 @@ mod tests {
 
     #[test]
     fn histogram_buckets() {
-        let mut h = LatencyHistogram::new(5.0);
-        h.record(1.0);
-        h.record(4.9);
-        h.record(5.0);
-        h.record(23.0);
-        assert_eq!(h.counts[0], 2);
-        assert_eq!(h.counts[1], 1);
-        assert_eq!(h.counts[4], 1);
-        assert!((h.fraction_below(10.0) - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_percentiles() {
-        let mut h = LatencyHistogram::new(5.0);
-        for ms in [1.0, 2.0, 3.0, 8.0, 9.0, 12.0, 14.0, 22.0, 23.0, 40.0] {
+        let mut h = LatencyHistogram::new();
+        for ms in [1.0, 4.9, 5.0, 23.0] {
             h.record(ms);
         }
-        assert_eq!(h.percentile(0.3), 5.0); // 3 of 10 in the first bucket
-        assert_eq!(h.percentile(0.5), 10.0);
-        assert_eq!(h.percentile(0.9), 25.0);
-        assert_eq!(h.percentile(1.0), 45.0);
-        assert_eq!(LatencyHistogram::new(5.0).percentile(0.5), 0.0);
+        assert!((h.fraction_below(10.0) - 0.75).abs() < 1e-9);
     }
 
     #[test]
@@ -490,7 +406,29 @@ mod tests {
         let c = config(1.0, 21);
         let light = run_simulation(&c, 200.0, 10_000);
         let heavy = run_simulation(&c, 3_500.0, 10_000);
-        assert!(heavy.latency.percentile(0.99) > light.latency.percentile(0.99));
+        assert!(heavy.latency.percentile_ms(0.99) > light.latency.percentile_ms(0.99));
+    }
+
+    /// Fig. 9's view of one deterministic run, pinned to the exact
+    /// per-sample fractions below each 5 ms edge: interpolating within a
+    /// log-linear bucket must stay within 0.005 of them.
+    #[test]
+    fn fig9_view_matches_exact_five_ms_buckets() {
+        let c = TwoServerConfig::paper_like(
+            ServiceDist::constant(0.8),
+            ServiceDist::constant(0.69),
+            17,
+        );
+        let r = run_simulation(&c, 4_800.0, 30_000);
+        let pinned = [0.0, 0.334700, 0.919700, 0.995467, 1.0, 1.0, 1.0, 1.0];
+        for (b, want) in pinned.into_iter().enumerate() {
+            let ms = 5.0 * (b + 1) as f64;
+            let got = r.latency.fraction_below(ms);
+            assert!(
+                (got - want).abs() <= 0.005,
+                "below {ms} ms: {got} vs {want}"
+            );
+        }
     }
 
     #[test]

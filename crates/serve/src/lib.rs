@@ -20,9 +20,10 @@
 //! that a caller is refused with a retry-after hint instead of queueing
 //! unboundedly. A full `broadmatch-telemetry` registry records end-to-end
 //! and execution latency histograms ([`LatencyHistogram`], re-exported
-//! from the telemetry crate) in the same 5 ms buckets the
-//! `broadmatch-netsim` simulator reports — so measured service times feed
-//! straight back into the paper's network-capacity model (Fig. 9) — plus
+//! from the telemetry crate; log-linear, resolving the µs regime queries
+//! run in, and the same type the `broadmatch-netsim` simulator reports
+//! Fig. 9 from — so measured service times feed straight back into the
+//! paper's network-capacity model) — plus
 //! probe/scan counters, wait-line depth and snapshot-age gauges, a
 //! sampling span tracer, and Prometheus text exposition via
 //! [`ServeRuntime::prometheus`].
@@ -53,8 +54,8 @@ pub mod runtime;
 pub mod update;
 
 pub use arcswap::ArcSwap;
-// The latency histogram moved to `broadmatch-telemetry` so every crate
-// shares one implementation; re-exported here for compatibility.
-pub use broadmatch_telemetry::{LatencyHistogram, DEFAULT_BUCKET_MS};
+// The latency histogram lives in `broadmatch-telemetry` so every crate
+// shares one implementation; re-exported for `ServeMetrics` users.
+pub use broadmatch_telemetry::LatencyHistogram;
 pub use runtime::{QueryResponse, ServeConfig, ServeError, ServeMetrics, ServeRuntime};
 pub use update::{UpdateConfig, UpdateOp};

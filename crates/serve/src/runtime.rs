@@ -106,8 +106,7 @@ pub struct ServeMetrics {
     pub rejected: u64,
     /// Currently published snapshot version.
     pub version: u64,
-    /// End-to-end query latency (arrival → answer, wait included), netsim
-    /// bucket geometry.
+    /// End-to-end query latency (arrival → answer, wait included).
     pub query_latency: LatencyHistogram,
     /// Execution latency (admission → finish, wait excluded): the service
     /// time behind retry-after hints. Rejected queries record nothing.

@@ -14,9 +14,9 @@
 //! - [`Registry`] — named, label-aware [`Counter`]s, [`Gauge`]s and
 //!   [`Histogram`]s with consistent snapshots and Prometheus text
 //!   exposition ([`Registry::render_prometheus`]).
-//! - [`LatencyHistogram`] — fixed-width buckets + raw-sample reservoir,
-//!   promoted out of `broadmatch-serve` so serve, bench and netsim share
-//!   one histogram type.
+//! - [`LatencyHistogram`] — log-linear buckets over integer nanoseconds
+//!   (< 1% relative error from 1 µs to ≈68 s): the one histogram type
+//!   serve, net, core, bench and netsim record latencies into.
 //! - [`Tracer`] — a 1-in-N sampling span tracer producing per-query
 //!   [`QueryTrace`]s with probe-level statistics, in a bounded ring.
 //!
@@ -31,7 +31,7 @@ mod histogram;
 mod registry;
 mod trace;
 
-pub use histogram::{LatencyHistogram, DEFAULT_BUCKET_MS};
+pub use histogram::LatencyHistogram;
 pub use registry::{
     Counter, FamilySnapshot, Gauge, Histogram, MetricKind, MetricsSnapshot, Registry, Sample,
     SampleValue,
@@ -161,12 +161,8 @@ mod tests {
         registry
             .gauge("serve_snapshot_version", "Published index version", &[])
             .set(3.0);
-        let h = registry.histogram_with(
-            "serve_query_latency_ms",
-            "End-to-end query latency",
-            &[],
-            || LatencyHistogram::new(5.0, 2),
-        );
+        let h = registry.histogram("serve_query_latency_ms", "End-to-end query latency", &[]);
+        h.record(0.008);
         h.record(1.0);
         h.record(6.0);
         h.record(100.0);
@@ -178,11 +174,36 @@ broadmatch_probes_total{shard=\"0\"} 41
 broadmatch_probes_total{shard=\"1\"} 1
 # HELP serve_query_latency_ms End-to-end query latency
 # TYPE serve_query_latency_ms histogram
-serve_query_latency_ms_bucket{le=\"5\"} 1
-serve_query_latency_ms_bucket{le=\"10\"} 2
-serve_query_latency_ms_bucket{le=\"+Inf\"} 3
-serve_query_latency_ms_sum 107
-serve_query_latency_ms_count 3
+serve_query_latency_ms_bucket{le=\"0.001\"} 0
+serve_query_latency_ms_bucket{le=\"0.002\"} 0
+serve_query_latency_ms_bucket{le=\"0.004\"} 0
+serve_query_latency_ms_bucket{le=\"0.008\"} 1
+serve_query_latency_ms_bucket{le=\"0.016\"} 1
+serve_query_latency_ms_bucket{le=\"0.032\"} 1
+serve_query_latency_ms_bucket{le=\"0.064\"} 1
+serve_query_latency_ms_bucket{le=\"0.128\"} 1
+serve_query_latency_ms_bucket{le=\"0.256\"} 1
+serve_query_latency_ms_bucket{le=\"0.512\"} 1
+serve_query_latency_ms_bucket{le=\"1.024\"} 2
+serve_query_latency_ms_bucket{le=\"2.048\"} 2
+serve_query_latency_ms_bucket{le=\"4.096\"} 2
+serve_query_latency_ms_bucket{le=\"8.192\"} 3
+serve_query_latency_ms_bucket{le=\"16.384\"} 3
+serve_query_latency_ms_bucket{le=\"32.768\"} 3
+serve_query_latency_ms_bucket{le=\"65.536\"} 3
+serve_query_latency_ms_bucket{le=\"131.072\"} 4
+serve_query_latency_ms_bucket{le=\"262.144\"} 4
+serve_query_latency_ms_bucket{le=\"524.288\"} 4
+serve_query_latency_ms_bucket{le=\"1048.576\"} 4
+serve_query_latency_ms_bucket{le=\"2097.152\"} 4
+serve_query_latency_ms_bucket{le=\"4194.304\"} 4
+serve_query_latency_ms_bucket{le=\"8388.608\"} 4
+serve_query_latency_ms_bucket{le=\"16777.216\"} 4
+serve_query_latency_ms_bucket{le=\"33554.432\"} 4
+serve_query_latency_ms_bucket{le=\"67108.864\"} 4
+serve_query_latency_ms_bucket{le=\"+Inf\"} 4
+serve_query_latency_ms_sum 107.008
+serve_query_latency_ms_count 4
 # HELP serve_snapshot_version Published index version
 # TYPE serve_snapshot_version gauge
 serve_snapshot_version 3

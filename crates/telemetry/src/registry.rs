@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::histogram::LatencyHistogram;
 
@@ -85,39 +85,34 @@ impl Gauge {
 }
 
 /// A shared, thread-safe wrapper around [`LatencyHistogram`].
-#[derive(Debug)]
+///
+/// Serve and net record into these on every query, where panics are
+/// banned, so a poisoned lock is recovered rather than propagated: a
+/// histogram stays consistent whatever a panicking holder left undone.
+#[derive(Debug, Default)]
 pub struct Histogram {
     inner: Mutex<LatencyHistogram>,
 }
 
 impl Histogram {
-    fn new(proto: LatencyHistogram) -> Self {
-        Histogram {
-            inner: Mutex::new(proto),
-        }
+    fn lock(&self) -> MutexGuard<'_, LatencyHistogram> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Record one observation in milliseconds.
     pub fn record(&self, ms: f64) {
-        self.inner
-            .lock()
-            .expect("histogram lock poisoned")
-            .record(ms);
+        self.lock().record(ms);
     }
 
-    /// Clone out the current state (counts, moments, reservoir).
+    /// Clone out the current state.
     pub fn snapshot(&self) -> LatencyHistogram {
-        self.inner.lock().expect("histogram lock poisoned").clone()
+        self.lock().clone()
     }
 
     /// Mean observation in milliseconds (0 when empty), read under the
-    /// lock without cloning the buckets and reservoir as
-    /// [`Self::snapshot`] does.
+    /// lock without cloning the buckets as [`Self::snapshot`] does.
     pub fn mean_ms(&self) -> f64 {
-        self.inner
-            .lock()
-            .expect("histogram lock poisoned")
-            .mean_ms()
+        self.lock().mean_ms()
     }
 }
 
@@ -336,23 +331,10 @@ impl Registry {
         }
     }
 
-    /// Register (or fetch) a latency histogram with the netsim-default
-    /// bucket geometry (40 × 5 ms + overflow).
+    /// Register (or fetch) a latency histogram.
     pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        self.histogram_with(name, help, labels, LatencyHistogram::netsim_default)
-    }
-
-    /// Register (or fetch) a histogram with custom geometry built by
-    /// `proto` (only consulted on first registration).
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        proto: impl FnOnce() -> LatencyHistogram,
-    ) -> Arc<Histogram> {
         match self.register(name, help, MetricKind::Histogram, labels, || {
-            Metric::Histogram(Arc::new(Histogram::new(proto())))
+            Metric::Histogram(Arc::default())
         }) {
             Metric::Histogram(h) => h,
             _ => unreachable!("kind checked during registration"),
@@ -388,8 +370,9 @@ impl Registry {
     }
 
     /// Render every metric in the Prometheus text exposition format
-    /// (version 0.0.4). Histogram buckets are cumulative with `le` bounds
-    /// in milliseconds (metric names carry an `_ms` suffix by convention).
+    /// (version 0.0.4). Every histogram renders the same cumulative `le`
+    /// bounds, in milliseconds (metric names carry an `_ms` suffix by
+    /// convention): the octave edges 1 µs·2^k up to ≈67 s, then `+Inf`.
     pub fn render_prometheus(&self) -> String {
         let snapshot = self.snapshot();
         let mut out = String::new();
@@ -405,15 +388,9 @@ impl Registry {
                         out.push_str(&render_line(&fam.name, &sample.labels, &fmt_f64(*v)));
                     }
                     SampleValue::Histogram(h) => {
-                        let mut cum = 0u64;
-                        let n_regular = h.counts().len() - 1;
-                        for (i, &c) in h.counts().iter().enumerate() {
-                            cum += c;
-                            let le = if i < n_regular {
-                                fmt_f64((i + 1) as f64 * h.bucket_ms())
-                            } else {
-                                "+Inf".to_string()
-                            };
+                        let bounds = h.cumulative_at_le_bounds().map(|(le, n)| (fmt_f64(le), n));
+                        let inf = std::iter::once(("+Inf".to_string(), h.total()));
+                        for (le, cum) in bounds.chain(inf) {
                             let body = if sample.labels.is_empty() {
                                 format!("le=\"{le}\"")
                             } else {

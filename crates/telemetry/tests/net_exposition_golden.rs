@@ -10,8 +10,40 @@
 use broadmatch_net::metrics::{NetMetrics, ReplicaMetrics, RouterMetrics};
 use broadmatch_telemetry::Registry;
 
+/// The `le` bounds every histogram renders, in ms: the octave edges
+/// 1 µs·2^k up to ≈67 s.
+const LE_BOUNDS: [&str; 27] = [
+    "0.001",
+    "0.002",
+    "0.004",
+    "0.008",
+    "0.016",
+    "0.032",
+    "0.064",
+    "0.128",
+    "0.256",
+    "0.512",
+    "1.024",
+    "2.048",
+    "4.096",
+    "8.192",
+    "16.384",
+    "32.768",
+    "65.536",
+    "131.072",
+    "262.144",
+    "524.288",
+    "1048.576",
+    "2097.152",
+    "4194.304",
+    "8388.608",
+    "16777.216",
+    "33554.432",
+    "67108.864",
+];
+
 /// The exposition of a freshly registered (empty) histogram family
-/// sample: 40 cumulative 5 ms buckets, overflow, sum and count — all
+/// sample: 27 cumulative octave-edge buckets, `+Inf`, sum and count — all
 /// zero. `labels` is the canonical label body (`""` for none).
 fn empty_histogram(name: &str, labels: &str) -> String {
     let mut out = String::new();
@@ -22,10 +54,10 @@ fn empty_histogram(name: &str, labels: &str) -> String {
             format!("{{{labels},{extra}}}")
         }
     };
-    for i in 1..=40 {
+    for le in LE_BOUNDS {
         out.push_str(&format!(
             "{name}_bucket{} 0\n",
-            body(&format!("le=\"{}\"", i * 5))
+            body(&format!("le=\"{le}\""))
         ));
     }
     out.push_str(&format!("{name}_bucket{} 0\n", body("le=\"+Inf\"")));
@@ -159,13 +191,17 @@ fn net_counters_and_histograms_render_recorded_values() {
     net.connections_total.inc();
     net.frames_in_total.add(5);
     router.query_latency.record(7.25);
-    router.query_latency.record(203.0); // overflow bucket
+    router.query_latency.record(203.0);
+    router.query_latency.record(0.031);
 
     let out = registry.render_prometheus();
     assert!(out.contains("net_connections_total 2\n"));
     assert!(out.contains("net_frames_in_total 5\n"));
-    assert!(out.contains("net_router_query_latency_ms_bucket{le=\"10\"} 1\n"));
-    assert!(out.contains("net_router_query_latency_ms_bucket{le=\"+Inf\"} 2\n"));
-    assert!(out.contains("net_router_query_latency_ms_sum 210.25\n"));
-    assert!(out.contains("net_router_query_latency_ms_count 2\n"));
+    assert!(out.contains("net_router_query_latency_ms_bucket{le=\"0.016\"} 0\n"));
+    assert!(out.contains("net_router_query_latency_ms_bucket{le=\"0.032\"} 1\n"));
+    assert!(out.contains("net_router_query_latency_ms_bucket{le=\"8.192\"} 2\n"));
+    assert!(out.contains("net_router_query_latency_ms_bucket{le=\"262.144\"} 3\n"));
+    assert!(out.contains("net_router_query_latency_ms_bucket{le=\"+Inf\"} 3\n"));
+    assert!(out.contains("net_router_query_latency_ms_sum 210.281\n"));
+    assert!(out.contains("net_router_query_latency_ms_count 3\n"));
 }
