@@ -1,5 +1,6 @@
 //! Index construction: grouping, re-mapping, node layout, directory build.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use broadmatch_memcost::CostModel;
@@ -198,13 +199,15 @@ impl IndexBuilder {
         let ad_id = AdId(self.n_ads);
         self.n_ads += 1;
 
-        let is_new_group = !self.groups.contains_key(&words);
-        if is_new_group {
-            for &w in words.ids() {
-                self.vocab.bump_phrase_freq(w);
+        let group = match self.groups.entry(words) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                for &w in e.key().ids() {
+                    self.vocab.bump_phrase_freq(w);
+                }
+                e.insert(GroupData::default())
             }
-        }
-        let group = self.groups.entry(words).or_default();
+        };
         match group.phrases.iter_mut().find(|p| p.raw == raw) {
             Some(p) => p.ads.push((ad_id, info)),
             None => group.phrases.push(PhraseGroup {

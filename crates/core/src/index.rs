@@ -7,7 +7,7 @@ use crate::build::IndexConfig;
 use crate::costmodel::{evaluate_mapping, AccTable, MappingCost};
 use crate::directory::NodeDirectory;
 use crate::node::{scan_node, Codec, ScanScratch, ScanSummary};
-use crate::optimize::{Mapping, MappingStats};
+use crate::optimize::{GroupMeta, Mapping, MappingStats};
 use crate::text::{fold_duplicates, tokenize};
 use crate::wordset::is_sorted_subset;
 use crate::{AdId, AdInfo, QueryWorkload, Vocabulary, WordId, WordSet};
@@ -614,15 +614,20 @@ impl BroadMatchIndex {
     /// Model-predicted `Cost(WL, M)` of this index's mapping for `workload`
     /// (Section V-A), without executing anything.
     pub fn modeled_cost(&self, workload: &QueryWorkload) -> MappingCost {
-        let acc = AccTable::build(workload, self.max_locator_len.max(1), self.config.probe_cap);
-        evaluate_mapping(
-            &self.group_words,
-            &self.group_bytes,
-            &self.mapping,
+        let (keys, locators) = self.mapping.interned();
+        let acc = AccTable::build(
             workload,
-            &acc,
-            &self.config.cost,
-        )
+            &keys,
+            self.max_locator_len.max(1),
+            self.config.probe_cap,
+        );
+        let groups: Vec<GroupMeta> = self
+            .group_words
+            .iter()
+            .zip(&self.group_bytes)
+            .map(|(words, &bytes)| GroupMeta { words, bytes })
+            .collect();
+        evaluate_mapping(&groups, &locators, workload, &acc, &self.config.cost)
     }
 
     /// Distinct word sets, index-aligned with [`Mapping::locator`].

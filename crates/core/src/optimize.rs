@@ -66,6 +66,25 @@ impl Mapping {
         self.locators.is_empty()
     }
 
+    /// The mapping's distinct locators in order of first use, and each
+    /// group's index into them: the keys and rows of an [`AccTable`] that
+    /// prices this mapping.
+    pub(crate) fn interned(&self) -> (Vec<&WordSet>, Vec<u32>) {
+        let mut ids: HashMap<&WordSet, u32, FxBuildHasher> = HashMap::default();
+        let mut distinct = Vec::new();
+        let rows = self
+            .locators
+            .iter()
+            .map(|locator| {
+                *ids.entry(locator).or_insert_with(|| {
+                    distinct.push(locator);
+                    (distinct.len() - 1) as u32
+                })
+            })
+            .collect();
+        (distinct, rows)
+    }
+
     /// Number of distinct data nodes this mapping produces.
     pub fn distinct_nodes(&self) -> usize {
         let mut set: std::collections::HashSet<&WordSet, FxBuildHasher> =
@@ -185,34 +204,127 @@ pub(crate) fn synthetic_locator(
 
 /// weight({g} alone at locator L): one random access per visiting query plus
 /// the scan of g's bytes for queries long enough to reach it.
-fn standalone_weight(
-    locator: &WordSet,
-    group_len: usize,
-    group_bytes: usize,
-    acc: &AccTable,
-    cost: &CostModel,
-) -> f64 {
+fn standalone_weight(locator: u32, meta: &GroupMeta<'_>, acc: &AccTable, cost: &CostModel) -> f64 {
     acc.acc_total(locator) as f64 * cost.cost_random
-        + acc.acc_ge(locator, group_len) as f64 * cost.cost_scan(group_bytes)
+        + acc.acc_ge(locator, meta.words.len()) as f64 * cost.cost_scan(meta.bytes)
 }
 
-/// Candidate destination locators of a group: subsets of its words (size
-/// `1..=max_words`) that exist as another group's word set, plus its own
-/// word set when short enough. Sorted by ascending standalone weight (a
-/// stable sort, so equal weights keep enumeration order), truncated to
-/// [`MAX_LOCATORS_PER_GROUP`].
-fn candidate_locators(
-    g: usize,
-    input: &OptimizerInput<'_>,
-    group_index: &HashMap<&[WordId], usize, FxBuildHasher>,
-    acc: &AccTable,
-) -> Vec<WordSet> {
-    let meta = &input.groups[g];
-    let mut out: Vec<WordSet> = Vec::new();
-    if meta.words.len() <= input.max_words {
-        out.push(meta.words.clone());
+/// The locators the optimizer can place, interned to dense ids, with each
+/// group's candidate destinations and the co-access table that prices them.
+///
+/// Group `g`'s own word set has id `g`; the synthetic locators of long
+/// groups follow from `n` on. Equal word sets share one id, and an id is
+/// its locator's row in `acc`, so pricing a locator hashes nothing.
+struct Locators<'a> {
+    groups: &'a [GroupMeta<'a>],
+    synthetic: Vec<WordSet>,
+    /// Candidate locator ids of each group that asked for them, cheapest
+    /// standalone first; empty for the others.
+    candidates: Vec<Vec<u32>>,
+    acc: AccTable,
+}
+
+impl<'a> Locators<'a> {
+    /// Intern the candidates of every group `wanted` selects and build the
+    /// co-access table over all interned locators.
+    fn build(input: &OptimizerInput<'a>, wanted: impl Fn(&GroupMeta<'_>) -> bool) -> Self {
+        let groups = input.groups;
+        let n = groups.len();
+        let group_index: HashMap<&[WordId], u32, FxBuildHasher> = groups
+            .iter()
+            .enumerate()
+            .map(|(g, meta)| (meta.words.ids(), g as u32))
+            .collect();
+        let mut synthetic_ids: HashMap<WordSet, u32, FxBuildHasher> = HashMap::default();
+        let mut synthetic = Vec::new();
+        let mut candidates: Vec<Vec<u32>> = groups
+            .iter()
+            .enumerate()
+            .map(|(g, meta)| {
+                if !wanted(meta) {
+                    return Vec::new();
+                }
+                let mut out = candidate_ids(g, meta, input.max_words, &group_index);
+                if out.is_empty() {
+                    let locator = synthetic_locator(meta.words, input.max_words, input.word_freq);
+                    // Past the subset budget a synthetic locator may still
+                    // be some group's word set: it then has that group's id.
+                    let id = match group_index.get(locator.ids()) {
+                        Some(&id) => id,
+                        None => *synthetic_ids.entry(locator).or_insert_with_key(|locator| {
+                            synthetic.push(locator.clone());
+                            (n + synthetic.len() - 1) as u32
+                        }),
+                    };
+                    out.push(id);
+                }
+                out
+            })
+            .collect();
+        let keys: Vec<&WordSet> = groups
+            .iter()
+            .map(|meta| meta.words)
+            .chain(&synthetic)
+            .collect();
+        let acc = AccTable::build(input.workload, &keys, input.max_words, input.probe_cap);
+        for (meta, ids) in groups.iter().zip(&mut candidates) {
+            let mut keyed: Vec<(f64, u32)> = ids
+                .iter()
+                .map(|&id| (standalone_weight(id, meta, &acc, input.cost), id))
+                .collect();
+            // A stable sort: equal weights keep enumeration order.
+            keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite weights"));
+            keyed.truncate(MAX_LOCATORS_PER_GROUP);
+            *ids = keyed.into_iter().map(|(_, id)| id).collect();
+        }
+        Locators {
+            groups,
+            synthetic,
+            candidates,
+            acc,
+        }
     }
-    let mut iter = meta.words.subsets(input.max_words);
+
+    /// The word set of locator `id`.
+    fn words(&self, id: u32) -> &WordSet {
+        let id = id as usize;
+        match self.groups.get(id) {
+            Some(meta) => meta.words,
+            None => &self.synthetic[id - self.groups.len()],
+        }
+    }
+
+    /// The group whose own word set locator `id` is, if any.
+    fn owner(&self, id: u32) -> Option<usize> {
+        ((id as usize) < self.groups.len()).then_some(id as usize)
+    }
+
+    /// The cheapest standalone destination of group `g`.
+    fn best(&self, g: usize) -> u32 {
+        self.candidates[g][0]
+    }
+
+    /// Materialise a mapping given as locator ids.
+    fn mapping(&self, ids: &[u32]) -> Mapping {
+        Mapping::new(ids.iter().map(|&id| self.words(id).clone()).collect())
+    }
+}
+
+/// Candidate destination locators of a group, in enumeration order: its own
+/// word set when short enough, then the subsets of its words (size
+/// `1..=max_words`, at most 4096 enumerated) that are another group's word
+/// set. Empty when there is none; the caller then adds a synthetic one.
+fn candidate_ids(
+    g: usize,
+    meta: &GroupMeta<'_>,
+    max_words: usize,
+    group_index: &HashMap<&[WordId], u32, FxBuildHasher>,
+) -> Vec<u32> {
+    let mut out = Vec::new();
+    if meta.words.len() <= max_words {
+        out.push(g as u32);
+    }
+    let mut iter = meta.words.subsets(max_words);
     let mut budget = 4096usize;
     while let Some(subset) = iter.next_subset() {
         if budget == 0 {
@@ -222,36 +334,11 @@ fn candidate_locators(
         if subset.len() == meta.words.len() {
             continue; // identity handled above
         }
-        if group_index.contains_key(subset) {
-            out.push(WordSet::from_sorted(subset.to_vec()));
+        if let Some(&id) = group_index.get(subset) {
+            out.push(id);
         }
     }
-    if out.is_empty() {
-        out.push(synthetic_locator(
-            meta.words,
-            input.max_words,
-            input.word_freq,
-        ));
-    }
-    let mut keyed: Vec<(f64, WordSet)> = out
-        .into_iter()
-        .map(|l| {
-            let w = standalone_weight(&l, meta.words.len(), meta.bytes, acc, input.cost);
-            (w, l)
-        })
-        .collect();
-    keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite weights"));
-    keyed.truncate(MAX_LOCATORS_PER_GROUP);
-    keyed.into_iter().map(|(_, l)| l).collect()
-}
-
-/// Every group's word set, for probing by borrowed subset slices.
-fn group_index<'a>(groups: &[GroupMeta<'a>]) -> HashMap<&'a [WordId], usize, FxBuildHasher> {
-    groups
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (g.words.ids(), i))
-        .collect()
+    out
 }
 
 /// The *long-only* strategy (Fig. 10 variant (b)): groups short enough to be
@@ -259,25 +346,17 @@ fn group_index<'a>(groups: &[GroupMeta<'a>]) -> HashMap<&'a [WordId], usize, FxB
 /// cheapest candidate destination. Also the local heuristic used when
 /// inserting new ads at runtime (Section VI, maintenance).
 pub(crate) fn remap_long_only(input: &OptimizerInput<'_>) -> Mapping {
-    let acc = AccTable::build(input.workload, input.max_words, input.probe_cap);
-    let group_index = group_index(input.groups);
-
-    let locators = input
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(g, meta)| {
-            if meta.words.len() <= input.max_words {
-                meta.words.clone()
+    let locators = Locators::build(input, |meta| meta.words.len() > input.max_words);
+    let ids: Vec<u32> = (0..input.groups.len())
+        .map(|g| {
+            if locators.candidates[g].is_empty() {
+                g as u32
             } else {
-                candidate_locators(g, input, &group_index, &acc)
-                    .into_iter()
-                    .next()
-                    .expect("candidate_locators never returns empty")
+                locators.best(g)
             }
         })
         .collect();
-    Mapping::new(locators)
+    locators.mapping(&ids)
 }
 
 /// The *full* strategy (Fig. 10 variant (c)): weighted set cover over
@@ -289,78 +368,66 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
         return Mapping::new(Vec::new());
     }
     let started = std::time::Instant::now();
-    let acc = AccTable::build(input.workload, input.max_words, input.probe_cap);
-    let group_index = group_index(input.groups);
+    let locators = Locators::build(input, |_| true);
+    let acc = &locators.acc;
 
     // Per-group standalone cost at its best locator (for the §V-B pruning).
-    let mut best_locators: Vec<Vec<WordSet>> = Vec::with_capacity(n);
-    let mut standalone: Vec<f64> = Vec::with_capacity(n);
-    for g in 0..n {
-        let cands = candidate_locators(g, input, &group_index, &acc);
-        let best = standalone_weight(
-            &cands[0],
-            input.groups[g].words.len(),
-            input.groups[g].bytes,
-            &acc,
-            input.cost,
-        );
-        standalone.push(best);
-        best_locators.push(cands);
-    }
+    let standalone: Vec<f64> = (0..n)
+        .map(|g| standalone_weight(locators.best(g), &input.groups[g], acc, input.cost))
+        .collect();
 
-    // Locator -> groups that can live there.
-    let mut members: HashMap<&WordSet, Vec<usize>, FxBuildHasher> = HashMap::default();
-    for (g, cands) in best_locators.iter().enumerate() {
-        for l in cands {
-            members.entry(l).or_default().push(g);
+    // Locator -> groups that can live there. Keyed by word set: the family
+    // below follows this map's iteration order, and with it the greedy's
+    // tie-breaks, which `tests/optimizer.rs` pins.
+    let mut members: HashMap<&WordSet, (u32, Vec<usize>), FxBuildHasher> = HashMap::default();
+    for (g, cands) in locators.candidates.iter().enumerate() {
+        for &id in cands {
+            members
+                .entry(locators.words(id))
+                .or_insert_with(|| (id, Vec::new()))
+                .1
+                .push(g);
         }
     }
 
     // Build the candidate family: for each locator, nested prefixes of its
     // members ordered by marginal scan weight, pruned by the paper's
     // "cheaper alone" rule, plus singletons for guaranteed coverage. A
-    // candidate's tag is its locator's index in `locator_store`.
+    // candidate's tag is its locator id.
     let mut candidates: Vec<CandidateSet> = Vec::new();
-    let mut locator_store: Vec<&WordSet> = Vec::with_capacity(members.len());
-    for (&locator, group_list) in &members {
-        let li = locator_store.len();
-        locator_store.push(locator);
-        let base = acc.acc_total(locator) as f64 * input.cost.cost_random;
+    for &(id, ref group_list) in members.values() {
+        let tag = u64::from(id);
+        let base = acc.acc_total(id) as f64 * input.cost.cost_random;
         // Marginal scan weight of each member at this locator (equation (2)
         // charges Cost_Scan per stored entry).
-        let mut scored: Vec<(f64, usize)> = group_list
-            .iter()
-            .map(|&g| {
-                let m = acc.acc_ge(locator, input.groups[g].words.len()) as f64
-                    * input.cost.cost_scan(input.groups[g].bytes);
-                (m, g)
-            })
-            .collect();
+        let marginal = |g: usize| {
+            let meta = &input.groups[g];
+            acc.acc_ge(id, meta.words.len()) as f64 * input.cost.cost_scan(meta.bytes)
+        };
+        let mut scored: Vec<(f64, usize)> = group_list.iter().map(|&g| (marginal(g), g)).collect();
         scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
 
         // The locator's owner group (if any) anchors every prefix.
-        let owner = group_index.get(locator.ids()).copied();
+        let owner = locators.owner(id);
         let mut prefix: Vec<u32> = Vec::new();
         let mut weight = base;
         if let Some(o) = owner {
-            let m = acc.acc_ge(locator, input.groups[o].words.len()) as f64
-                * input.cost.cost_scan(input.groups[o].bytes);
             prefix.push(o as u32);
-            weight += m;
-            candidates.push(CandidateSet::new(prefix.clone(), weight, li as u64));
+            weight += marginal(o);
+            candidates.push(CandidateSet::new(prefix.clone(), weight, tag));
         }
         for &(m, g) in &scored {
             if Some(g) == owner {
                 continue;
             }
             // Singleton candidate: g alone at this locator.
-            candidates.push(CandidateSet::new(vec![g as u32], base + m, li as u64));
+            candidates.push(CandidateSet::new(vec![g as u32], base + m, tag));
 
             // Grow the prefix unless the §V-B rule says g is cheaper alone.
             if prefix.len() < MAX_NODE_GROUPS && m < standalone[g] {
                 prefix.push(g as u32);
                 weight += m;
-                candidates.push(CandidateSet::new(prefix.clone(), weight, li as u64));
+                candidates.push(CandidateSet::new(prefix.clone(), weight, tag));
             }
         }
     }
@@ -376,63 +443,41 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
     // node where it is the locator owner (keeps condition III wherever
     // possible; leftovers become synthetic-locator nodes, which broad-match
     // correctness does not depend on).
-    let mut assigned: Vec<Option<usize>> = vec![None; n]; // locator idx per group
+    let mut assigned: Vec<Option<u32>> = vec![None; n];
     for &ci in &solution.chosen {
-        let li = candidates[ci].tag as usize;
-        let owner = group_index.get(locator_store[li].ids()).copied();
+        let id = candidates[ci].tag as u32;
+        let owner = locators.owner(id);
         for &g in &candidates[ci].elements {
             let g = g as usize;
             match assigned[g] {
-                None => assigned[g] = Some(li),
-                Some(_) if owner == Some(g) => assigned[g] = Some(li),
+                None => assigned[g] = Some(id),
+                Some(_) if owner == Some(g) => assigned[g] = Some(id),
                 Some(_) => {}
             }
         }
     }
-    let locators = assigned
-        .into_iter()
-        .enumerate()
-        .map(|(g, li)| match li {
-            Some(li) => locator_store[li].clone(),
-            // Unreachable in practice; fall back to the group's best locator.
-            None => best_locators[g][0].clone(),
-        })
+    // Unreachable in practice; fall back to the group's best locator.
+    let optimized: Vec<u32> = (0..n)
+        .map(|g| assigned[g].unwrap_or_else(|| locators.best(g)))
         .collect();
-    let optimized = Mapping::new(locators);
 
     // Greedy is an H_k approximation, not a guarantee of beating the
     // identity layout; keep whichever the model prefers. (Long groups may
     // not use the identity mapping — substitute their best candidate.)
-    let group_words: Vec<WordSet> = input.groups.iter().map(|g| g.words.clone()).collect();
-    let group_bytes: Vec<usize> = input.groups.iter().map(|g| g.bytes).collect();
-    let baseline = Mapping::new(
-        (0..n)
-            .map(|g| {
-                if input.groups[g].words.len() <= input.max_words {
-                    input.groups[g].words.clone()
-                } else {
-                    best_locators[g][0].clone()
-                }
-            })
-            .collect(),
-    );
-    let c_opt = crate::costmodel::evaluate_mapping(
-        &group_words,
-        &group_bytes,
-        &optimized,
-        input.workload,
-        &acc,
-        input.cost,
-    );
-    let c_base = crate::costmodel::evaluate_mapping(
-        &group_words,
-        &group_bytes,
-        &baseline,
-        input.workload,
-        &acc,
-        input.cost,
-    );
-    let kept_baseline = c_opt.breakdown.node_cost > c_base.breakdown.node_cost;
+    let baseline: Vec<u32> = (0..n)
+        .map(|g| {
+            if input.groups[g].words.len() <= input.max_words {
+                g as u32
+            } else {
+                locators.best(g)
+            }
+        })
+        .collect();
+    let evaluate = |ids: &[u32]| {
+        crate::costmodel::evaluate_mapping(input.groups, ids, input.workload, acc, input.cost)
+    };
+    let kept_baseline =
+        evaluate(&optimized).breakdown.node_cost > evaluate(&baseline).breakdown.node_cost;
     crate::telemetry::record_remap_run(
         if withdrawals { "withdrawals" } else { "greedy" },
         candidates.len(),
@@ -440,11 +485,7 @@ pub(crate) fn remap_full(input: &OptimizerInput<'_>, withdrawals: bool) -> Mappi
         kept_baseline,
         started.elapsed(),
     );
-    if kept_baseline {
-        baseline
-    } else {
-        optimized
-    }
+    locators.mapping(if kept_baseline { &baseline } else { &optimized })
 }
 
 #[cfg(test)]
@@ -666,11 +707,23 @@ mod tests {
             };
             let full = remap_full(&input, true);
             full.validate(&sets, 8, false).unwrap();
-            let identity = Mapping::identity(&sets);
-            let acc = AccTable::build(&workload, 8, 4096);
+            // Price both on one table keyed by every locator either uses.
+            let mut keys: Vec<&WordSet> = sets.iter().collect();
+            let full_rows: Vec<u32> = (0..n_groups)
+                .map(|g| {
+                    let locator = full.locator(g);
+                    let row = keys.iter().position(|&k| k == locator).unwrap_or_else(|| {
+                        keys.push(locator);
+                        keys.len() - 1
+                    });
+                    row as u32
+                })
+                .collect();
+            let identity: Vec<u32> = (0..n_groups as u32).collect();
+            let acc = AccTable::build(&workload, &keys, 8, 4096);
             let cost = CostModel::dram();
-            let c_full = evaluate_mapping(&sets, &bytes, &full, &workload, &acc, &cost);
-            let c_id = evaluate_mapping(&sets, &bytes, &identity, &workload, &acc, &cost);
+            let c_full = evaluate_mapping(&metas, &full_rows, &workload, &acc, &cost);
+            let c_id = evaluate_mapping(&metas, &identity, &workload, &acc, &cost);
             assert!(
                 c_full.breakdown.node_cost <= c_id.breakdown.node_cost + 1e-6,
                 "optimized node cost {} exceeds identity {}",

@@ -297,7 +297,10 @@ impl Registry {
     ) -> Metric {
         assert!(valid_name(name), "invalid metric name {name:?}");
         let body = label_body(labels);
-        let mut families = self.families.lock().expect("registry lock poisoned");
+        // The kind assert below panics with this guard held. It mutates
+        // nothing first, so the map stays whole and a poisoned lock is
+        // recovered: scrapes (which may not panic) keep working after it.
+        let mut families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             help: help.to_string(),
             kind,
@@ -344,7 +347,7 @@ impl Registry {
     /// A point-in-time copy of every metric, families and samples in
     /// deterministic (sorted) order.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let families = self.families.lock().expect("registry lock poisoned");
+        let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
         MetricsSnapshot {
             families: families
                 .iter()
@@ -480,6 +483,22 @@ mod tests {
         let r = Registry::new();
         r.counter("x_total", "x", &[]);
         r.gauge("x_total", "x", &[]);
+    }
+
+    #[test]
+    fn a_kind_conflict_does_not_break_later_scrapes() {
+        let r = Registry::new();
+        r.counter("x_total", "x", &[]).inc();
+        let conflict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            r.gauge("x_total", "x", &[]);
+        }));
+        assert!(conflict.is_err(), "the conflict still panics");
+        assert!(r.families.is_poisoned(), "it panicked holding the lock");
+        assert_eq!(r.snapshot().counter("x_total", ""), Some(1));
+        r.counter("y_total", "y", &[]).add(2);
+        let snapshot = r.snapshot();
+        assert_eq!(snapshot.counter("x_total", ""), Some(1));
+        assert_eq!(snapshot.counter("y_total", ""), Some(2));
     }
 
     #[test]

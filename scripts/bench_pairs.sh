@@ -13,8 +13,16 @@
 # and builds its servebench from its own sources there; servebench/ itself
 # is never edited. Prints every run's end-to-end metrics, then per side the
 # median and quartiles of each end-to-end metric and how many pairs the
-# change won (ties count for neither side). Raw result lines are kept in
-# target/bench-pairs/<sha>-<workload>.jsonl.
+# change won (ties count for neither side), and a verdict per metric:
+#
+#   gain        the change won at least 9 of every 10 pairs and its median
+#               beats the parent's by more than the parent's q3 - q1;
+#   regression  the change's median is worse than the parent's by more than
+#               the metric's BENCHMARK.json `bound`, read as a fraction;
+#   no change   neither.
+#
+# Last, each side's failed-operation share (failed / attempted over all its
+# runs). Raw result lines are kept in target/bench-pairs/<sha>-<workload>.jsonl.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,7 +48,7 @@ if [ ! -d "$parent_dir" ]; then
 fi
 
 mapfile -t command < <(jq -r '.command[]' BENCHMARK.json)
-metrics=$(jq -c '[.end_to_end[] | {name, better}]' BENCHMARK.json)
+metrics=$(jq -c '[.end_to_end[] | {name, better, bound}]' BENCHMARK.json)
 
 # Build both sides before timing anything.
 for dir in "$parent_dir" "$root"; do
@@ -90,8 +98,21 @@ jq -rs --argjson metrics "$metrics" --arg workload "$workload" --arg sha "$sha" 
         | ($runs[] | select(.pair == $i and .side == "change") | .metrics[$m.name]) as $cv
         | if $m.better == "lower" then $cv < $pv else $cv > $pv end
         | select(.)] as $wins
+     | ($p | quantile(0.5)) as $pm | ($c | quantile(0.5)) as $cm
+     | (($p | quantile(0.75)) - ($p | quantile(0.25))) as $spread
+     # Signed so that positive is better for the change.
+     | (if $m.better == "lower" then $pm - $cm else $cm - $pm end) as $gap
+     | (if ($wins | length) * 10 >= 9 * ($pairs | length) and $gap > $spread then "gain"
+        elif -$gap > $m.bound * ($pm | fabs) then "regression"
+        else "no change" end) as $verdict
      | "\($m.name) (\($m.better) is better): "
-       + "parent median \($p | quantile(0.5) | fmt) [q1 \($p | quantile(0.25) | fmt), q3 \($p | quantile(0.75) | fmt)]; "
-       + "change median \($c | quantile(0.5) | fmt) [q1 \($c | quantile(0.25) | fmt), q3 \($c | quantile(0.75) | fmt)]; "
-       + "change wins \($wins | length)/\($pairs | length)")
+       + "parent median \($pm | fmt) [q1 \($p | quantile(0.25) | fmt), q3 \($p | quantile(0.75) | fmt)]; "
+       + "change median \($cm | fmt) [q1 \($c | quantile(0.25) | fmt), q3 \($c | quantile(0.75) | fmt)]; "
+       + "change wins \($wins | length)/\($pairs | length); "
+       + "verdict: \($verdict) (gap \($gap | fmt), parent q3-q1 \($spread | fmt), bound \($m.bound))"),
+    ("parent", "change") as $side
+    | [$runs[] | select(.side == $side)] as $r
+    | ([$r[].failed] | add) as $failed | ([$r[].attempted] | add) as $attempted
+    | "failed share, \($side): \($failed)/\($attempted)"
+      + " = \(if $attempted > 0 then $failed / $attempted else 0 end)"
 ' "$results"
